@@ -23,6 +23,12 @@ HDIDX_THREADS=1 cargo test -q --offline --workspace
 echo "==> cargo test -q --offline --workspace (default threads)"
 cargo test -q --offline --workspace
 
+# The benchmark package has its own workspace, so nothing above compiles
+# it; its unit tests keep the public API it calls (csvio, the pool, the
+# predictors, the store) from breaking it silently.
+echo "==> cargo test -q --offline --manifest-path perfbench/Cargo.toml"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Chaos leg: the whole suite must stay green under ambient low-pressure
 # fault injection (HDIDX_FAULT_SEED reaches the CLI/env-configured paths;
 # the default 2000 ppm rate is always absorbed by bounded retry). Two

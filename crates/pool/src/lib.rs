@@ -1,9 +1,9 @@
 //! # hdidx-pool
 //!
 //! A scoped, zero-dependency parallel execution layer for the workspace:
-//! order-preserving [`Pool::par_map`] / [`Pool::par_chunks`] over slices, a
-//! budgeted recursive [`Pool::join`] for fork–join tree builds, and a
-//! process-wide thread-count configuration with an `HDIDX_THREADS`
+//! order-preserving [`Pool::par_map`] / [`Pool::par_flat_chunks`] over
+//! slices, a budgeted recursive [`Pool::join`] for fork–join tree builds,
+//! and a process-wide thread-count configuration with an `HDIDX_THREADS`
 //! environment override.
 //!
 //! ## The determinism contract
@@ -12,7 +12,7 @@
 //! fixed input and a pure work function, the result is byte-identical for
 //! any thread count, including 1. This holds by construction —
 //!
-//! * `par_map`/`par_chunks` partition the input into contiguous index
+//! * `par_map`/`par_flat_chunks` partition the input into contiguous index
 //!   ranges and concatenate the per-range results *in input order*; the
 //!   thread count only decides which OS thread executes a range, never
 //!   which range exists or where its output lands;
@@ -58,10 +58,9 @@
 //! panic payload — the same observable behavior as the serial path.
 //!
 //! When one item's failure must not take down the whole batch, the
-//! *isolated* variants ([`Pool::par_map_isolated`],
-//! [`Pool::par_map_vec_isolated`]) catch the panic of each work item
-//! individually and return per-item `Result<R, WorkerPanic>` — panic
-//! isolation for fault-tolerant pipelines. Isolation keeps the
+//! *isolated* variant [`Pool::par_map_isolated`] catches the panic of each
+//! work item individually and returns per-item `Result<R, WorkerPanic>` —
+//! panic isolation for fault-tolerant pipelines. Isolation keeps the
 //! determinism contract: which items panic is a property of the items,
 //! not of scheduling, so the `Ok`/`Err` pattern is identical for any
 //! thread count.
@@ -328,29 +327,12 @@ impl Pool {
     }
 
     /// Maps `f` over fixed-size chunks of `items` (the last chunk may be
-    /// short): `out[c] == f(c, &items[c*size..])`. Chunk indices are
-    /// stable, so `f` can derive per-chunk seeds from them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size == 0`. Panics in `f` propagate.
-    pub fn par_chunks<T, R, F>(&self, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        assert!(chunk_size > 0, "par_chunks requires a positive chunk size");
-        let chunks: Vec<(usize, &[T])> = items.chunks(chunk_size).enumerate().collect();
-        self.par_map(&chunks, |&(i, chunk)| f(i, chunk))
-    }
-
-    /// Maps `f` over fixed-size chunks of `items` and concatenates the
-    /// per-chunk output vectors in input order — the batch wiring for
-    /// kernels that produce one result per item but want to process items
-    /// in cache-sized blocks (e.g. the tiled sphere counting of
-    /// `hdidx_core::LeafSoup::count_batch`). `f` receives the stable chunk
-    /// index alongside the chunk, so it can derive per-chunk seeds.
+    /// short) and concatenates the per-chunk output vectors in input order
+    /// — the batch wiring for kernels that produce one result per item but
+    /// want to process items in cache-sized blocks (e.g. the tiled sphere
+    /// counting of `hdidx_core::LeafSoup::count_batch`). `f` receives the
+    /// stable chunk index `c` alongside `&items[c*size..]`, so it can
+    /// derive per-chunk seeds.
     ///
     /// # Panics
     ///
@@ -361,7 +343,12 @@ impl Pool {
         R: Send,
         F: Fn(usize, &[T]) -> Vec<R> + Sync,
     {
-        self.par_chunks(items, chunk_size, f)
+        assert!(
+            chunk_size > 0,
+            "par_flat_chunks requires a positive chunk size"
+        );
+        let chunks: Vec<(usize, &[T])> = items.chunks(chunk_size).enumerate().collect();
+        self.par_map(&chunks, |&(i, chunk)| f(i, chunk))
             .into_iter()
             .flatten()
             .collect()
@@ -377,19 +364,6 @@ impl Pool {
         F: Fn(&T) -> R + Sync,
     {
         self.par_map(items, |item| {
-            catch_unwind(AssertUnwindSafe(|| f(item))).map_err(WorkerPanic::from_payload)
-        })
-    }
-
-    /// Like [`Pool::par_map_vec`], but with per-item panic isolation (see
-    /// [`Pool::par_map_isolated`]).
-    pub fn par_map_vec_isolated<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<Result<R, WorkerPanic>>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        self.par_map_vec(items, |item| {
             catch_unwind(AssertUnwindSafe(|| f(item))).map_err(WorkerPanic::from_payload)
         })
     }
@@ -461,10 +435,10 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_sees_stable_indices_and_contents() {
+    fn par_flat_chunks_sees_stable_indices_and_contents() {
         let items: Vec<u32> = (0..103).collect();
         let pool = Pool::new(5);
-        let out = pool.par_chunks(&items, 10, |i, chunk| (i, chunk.to_vec()));
+        let out = pool.par_flat_chunks(&items, 10, |i, chunk| vec![(i, chunk.to_vec())]);
         assert_eq!(out.len(), 11);
         for (i, chunk) in &out {
             let start = i * 10;
@@ -555,12 +529,6 @@ mod tests {
             // Budget restored despite the caught panics.
             assert_eq!(pool.spare.load(Ordering::Acquire), t as isize - 1);
         }
-        let owned: Vec<u32> = items.clone();
-        let out = Pool::new(4).par_map_vec_isolated(owned, |x| {
-            assert!(x % 31 != 5, "boom at {x}");
-            x * 2
-        });
-        assert_eq!(out, expect);
     }
 
     #[test]
