@@ -7,7 +7,7 @@
 //! kernel: median/p95/min/mean ns and throughput).
 
 use hdidx_check::bench::{black_box, BenchSuite};
-use hdidx_core::knn::{scan_knn_radius, scan_knn_with};
+use hdidx_core::knn::{knn_radii_with, scan_knn_radius, scan_knn_with};
 use hdidx_core::rng::{seeded, Rng};
 use hdidx_core::{simd, Dataset, LeafSoup};
 use hdidx_pool::Pool;
@@ -95,6 +95,68 @@ fn bench_knn(suite: &mut BenchSuite) {
         suite.bench(&format!("knn_scan/50000x16/k21/{isa}"), || {
             scan_knn_with(isa, black_box(&data), &q, 21).unwrap()
         });
+    }
+}
+
+/// Batched k-NN radii against the per-query loop they replace: 500
+/// dataset points spread evenly over the ids as centres, k = 21, one
+/// worker, per ISA.
+/// Identity first: every ISA's batch must equal the scalar per-query
+/// loop bit for bit.
+fn bench_knn_radii(suite: &mut BenchSuite) {
+    const QUERIES: usize = 500;
+    for &(n, dim) in &[(50_000usize, 16usize), (20_000, 64)] {
+        let data = random_dataset(n, dim, 6);
+        let centres: Vec<(&[f32], usize)> = (0..QUERIES)
+            .map(|i| (data.point(i * (n / QUERIES)), 21))
+            .collect();
+        let pool = Pool::serial();
+        let per_query = |isa| -> Vec<u64> {
+            centres
+                .iter()
+                .map(|&(q, k)| {
+                    scan_knn_with(isa, &data, q, k)
+                        .unwrap()
+                        .last()
+                        .unwrap()
+                        .0
+                        .to_bits()
+                })
+                .collect()
+        };
+        let batched = |isa| -> Vec<u64> {
+            knn_radii_with(isa, &data, &centres, &pool)
+                .into_iter()
+                .map(|r| r.unwrap().to_bits())
+                .collect()
+        };
+        let reference = per_query(simd::Isa::Scalar);
+        for isa in simd::supported() {
+            assert_eq!(
+                per_query(isa),
+                reference,
+                "{isa} per-query radii must match scalar"
+            );
+            assert_eq!(
+                batched(isa),
+                reference,
+                "{isa} batched radii must match the loop"
+            );
+        }
+        for isa in simd::supported() {
+            suite.bench(
+                &format!("knn_radii_loop/{n}x{dim}/q{QUERIES}/k21/{isa}"),
+                || {
+                    centres
+                        .iter()
+                        .map(|&(q, k)| scan_knn_with(isa, black_box(&data), q, k).unwrap().len())
+                        .sum::<usize>()
+                },
+            );
+            suite.bench(&format!("knn_radii/{n}x{dim}/q{QUERIES}/k21/{isa}"), || {
+                knn_radii_with(isa, black_box(&data), &centres, &pool)
+            });
+        }
     }
 }
 
@@ -275,6 +337,7 @@ fn main() {
     bench_bulk_load(&mut suite);
     bench_midsplit(&mut suite);
     bench_knn(&mut suite);
+    bench_knn_radii(&mut suite);
     bench_intersections(&mut suite);
     bench_soup(&mut suite);
     bench_fractal(&mut suite);

@@ -44,6 +44,9 @@ pub fn execute(cli: &Cli) -> Result<String, String> {
 ///
 /// Human-readable message for any failure.
 pub fn execute_with_status(cli: &Cli) -> Result<(String, i32), String> {
+    // A malformed HDIDX_SIMD fails the command before any work, instead
+    // of panicking in the first kernel call.
+    hdidx_core::simd::env_isa().map_err(|e| e.to_string())?;
     if let Command::Scrub {
         store_dir,
         durability,

@@ -3,12 +3,35 @@
 //! Ground truth for query radii: the paper computes the k-NN sphere of each
 //! query point with a full scan of the dataset (§4.2) and feeds the radius
 //! to every predictor. Index-based k-NN lives in `hdidx-vamsplit`; this
-//! linear scan is index-free and so belongs to the kernel crate, where both
-//! the workload generator and the search tests can reach it.
+//! linear scan is index-free and so belongs to the kernel crate, where the
+//! workload generator, the serve path and the search tests can reach it.
+//!
+//! # One batched scan
+//!
+//! Every entry point runs the same kernel over a block of queries
+//! ([`knn_radii`] is the batch entry; [`scan_knn`] is a block of one):
+//!
+//! * each pool worker takes a contiguous block of queries, and walks the
+//!   points in tiles, so a tile read from memory once serves every query
+//!   of the block from cache;
+//! * within a tile, each group of 16 points is transposed into a
+//!   dim-major `f64` buffer (64 KiB per worker) the first time any query
+//!   of the block needs a dimension tile of it, and every later query
+//!   reads that buffer;
+//! * the SIMD group kernel (`simd::KnnKernel`) is only a filter: each
+//!   lane runs the exact `dist2_below` chain and early exit against the
+//!   bound the query held when it entered the tile, and every lane it
+//!   lets through is re-checked in id order with `dist2_below` against
+//!   the live bound before insertion.
+//!
+//! The bound only shrinks, so the filter never drops a point the scalar
+//! scan would insert, and the re-check makes every insert/skip decision
+//! the scalar one: neighbors and distance bits are identical at any ISA,
+//! thread count or batch split.
 
 use crate::dataset::Dataset;
 use crate::error::{Error, Result};
-use crate::simd::{self, Isa};
+use crate::simd::{self, Isa, KnnKernel, KNN_GROUP};
 use hdidx_pool::Pool;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -16,6 +39,12 @@ use std::collections::BinaryHeap;
 /// Dimensions per tile of the early-exit distance kernel (matches
 /// [`crate::soup::DIM_TILE`]).
 const DIM_TILE: usize = 8;
+
+/// Bytes of the transposed `f64` buffer one worker keeps for a point
+/// tile (more only when a single group is larger, past 512 dimensions).
+/// Well below 128 KiB, the size at which the allocator would map it
+/// separately and raise the process's peak RSS when freed.
+const TILE_BYTES: usize = 64 << 10;
 
 #[derive(Debug, PartialEq)]
 struct Candidate {
@@ -62,15 +91,152 @@ fn dist2_below(p: &[f32], q: &[f32], bound: f64) -> Option<f64> {
     Some(acc)
 }
 
+/// One query's scan state: its k best candidates so far and the live
+/// k-th distance bound.
+struct Scan<'q> {
+    q: &'q [f32],
+    best: BinaryHeap<Candidate>,
+    /// `best.peek()`'s distance, updated on every insertion.
+    bound: f64,
+    /// First id not yet offered (the fill phase took `0..from`).
+    from: usize,
+}
+
+impl<'q> Scan<'q> {
+    /// Validates the query and runs the fill phase: the first `k` points
+    /// enter unconditionally, with full distances.
+    fn new(data: &Dataset, q: &'q [f32], k: usize) -> Result<Scan<'q>> {
+        if q.len() != data.dim() {
+            return Err(Error::DimensionMismatch {
+                expected: data.dim(),
+                actual: q.len(),
+            });
+        }
+        if k == 0 {
+            return Err(Error::invalid("k", "k must be positive"));
+        }
+        if data.is_empty() {
+            return Err(Error::EmptyInput("dataset for scan_knn"));
+        }
+        let from = k.min(data.len());
+        let mut best = BinaryHeap::with_capacity(from + 1);
+        for id in 0..from {
+            best.push(Candidate {
+                dist2: data.dist2_to(id, q),
+                id: id as u32,
+            });
+        }
+        let bound = best.peek().expect("k > 0 and n > 0").dist2;
+        Ok(Scan {
+            q,
+            best,
+            bound,
+            from,
+        })
+    }
+
+    /// Offers point `id` against the live bound — the scalar scan's exact
+    /// insert/skip decision.
+    #[inline]
+    fn offer(&mut self, data: &Dataset, id: usize) {
+        if let Some(d2) = dist2_below(data.point(id), self.q, self.bound) {
+            self.best.pop();
+            self.best.push(Candidate {
+                dist2: d2,
+                id: id as u32,
+            });
+            self.bound = self.best.peek().expect("non-empty").dist2;
+        }
+    }
+
+    /// First group every point of which this scan still has to offer.
+    fn first_group(&self) -> usize {
+        self.from.div_ceil(KNN_GROUP)
+    }
+
+    /// Distance to the k-th neighbor (the farthest, when `k >= n`).
+    fn radius(&self) -> f64 {
+        self.best.peek().expect("non-empty").dist2.sqrt()
+    }
+
+    /// `(distance, id)` pairs in ascending distance order, ties by id.
+    fn into_neighbors(self) -> Vec<(f64, u32)> {
+        // `into_sorted_vec` already yields ascending (dist2, id) order —
+        // the heap's `Ord` — and `sqrt` is monotone, so no re-sort.
+        self.best
+            .into_sorted_vec()
+            .into_iter()
+            .map(|c| (c.dist2.sqrt(), c.id))
+            .collect()
+    }
+}
+
+/// Offers every point past each scan's fill phase, in id order per scan:
+/// a scalar prefix up to the scan's first whole group, the whole groups
+/// tile by tile (see the module docs), then the scalar tail.
+fn scan_block(isa: Isa, data: &Dataset, scans: &mut [Scan<'_>]) {
+    let (n, dim) = (data.len(), data.dim());
+    let groups = n / KNN_GROUP;
+    let group_len = KNN_GROUP * dim;
+    let tile_groups = (TILE_BYTES / (8 * group_len)).max(1);
+    let kernel = KnnKernel::new(isa);
+    let mut tposed = vec![0.0f64; kernel.map_or(0, |_| tile_groups * group_len)];
+    let mut ready = vec![0usize; tile_groups];
+    let mut masks = vec![0u32; tile_groups];
+    for s in scans.iter_mut() {
+        for id in s.from..(s.first_group() * KNN_GROUP).min(n) {
+            s.offer(data, id);
+        }
+    }
+    let start = scans.iter().map(Scan::first_group).min().unwrap_or(groups);
+    for t0 in (start..groups).step_by(tile_groups) {
+        let t1 = (t0 + tile_groups).min(groups);
+        ready.fill(0);
+        for s in scans.iter_mut() {
+            let g0 = t0.max(s.first_group());
+            if g0 >= t1 {
+                continue;
+            }
+            let Some(kernel) = kernel else {
+                for id in g0 * KNN_GROUP..t1 * KNN_GROUP {
+                    s.offer(data, id);
+                }
+                continue;
+            };
+            let slots = g0 - t0..t1 - t0;
+            kernel.tile_below(
+                data.rows(g0 * KNN_GROUP, (t1 - g0) * KNN_GROUP),
+                &mut tposed[slots.start * group_len..slots.end * group_len],
+                &mut ready[slots.clone()],
+                s.q,
+                s.bound,
+                &mut masks[slots.clone()],
+            );
+            for (g, &mask) in (g0..t1).zip(&masks[slots]) {
+                let mut mask = mask;
+                while mask != 0 {
+                    s.offer(data, g * KNN_GROUP + mask.trailing_zeros() as usize);
+                    mask &= mask - 1;
+                }
+            }
+        }
+    }
+    for s in scans.iter_mut() {
+        for id in (s.first_group().max(groups) * KNN_GROUP)..n {
+            s.offer(data, id);
+        }
+    }
+}
+
 /// Exact k-NN by linear scan, returning `(distance, id)` pairs in ascending
 /// distance order (ties broken by id). Returns fewer than `k` pairs only if
 /// the dataset is smaller than `k`.
 ///
-/// The scan is blocked: after the heap fills, each candidate distance is
-/// accumulated in [`DIM_TILE`]-dimension tiles and abandoned as soon as the
-/// partial sum reaches the current k-th distance ([`dist2_below`]), which
-/// skips most of the per-point work in high dimensions without changing a
-/// single reported neighbor or distance bit.
+/// After the first `k` points fill the heap, each candidate distance is
+/// accumulated in 8-dimension tiles and abandoned as soon as the partial
+/// sum reaches the current k-th distance, which skips most of the
+/// per-point work in high dimensions without changing a single reported
+/// neighbor or distance bit.
 ///
 /// # Errors
 ///
@@ -82,15 +248,8 @@ pub fn scan_knn(data: &Dataset, q: &[f32], k: usize) -> Result<Vec<(f64, u32)>> 
 }
 
 /// [`scan_knn`] pinned to one SIMD ISA — the entry point identity tests
-/// and per-ISA bench rows use.
-///
-/// The SIMD paths scan `isa.lanes()` candidates per group: every lane
-/// accumulates its full-precision `f64` distance chain (the exact
-/// [`dist2_below`] order) against the bound held at group entry, then the
-/// surviving lanes are re-validated in id order against the *live* bound
-/// before insertion. Because per-point distances are bit-identical and the
-/// bound only shrinks, the insert/skip decisions — and therefore every
-/// reported neighbor and distance bit — match the scalar scan exactly.
+/// and per-ISA bench rows use. It is the batched scan with a block of one
+/// query (see the module docs for why every ISA reports the same bits).
 ///
 /// # Errors
 ///
@@ -100,98 +259,10 @@ pub fn scan_knn(data: &Dataset, q: &[f32], k: usize) -> Result<Vec<(f64, u32)>> 
 ///
 /// Panics if `isa` is not supported by this CPU/build.
 pub fn scan_knn_with(isa: Isa, data: &Dataset, q: &[f32], k: usize) -> Result<Vec<(f64, u32)>> {
-    if q.len() != data.dim() {
-        return Err(Error::DimensionMismatch {
-            expected: data.dim(),
-            actual: q.len(),
-        });
-    }
-    if k == 0 {
-        return Err(Error::invalid("k", "k must be positive"));
-    }
-    if data.is_empty() {
-        return Err(Error::EmptyInput("dataset for scan_knn"));
-    }
-    let n = data.len();
-    let mut best: BinaryHeap<Candidate> = BinaryHeap::with_capacity(k + 1);
-    // Fill phase: the first k points enter unconditionally, with full
-    // distances.
-    let filled = k.min(n);
-    for id in 0..filled {
-        best.push(Candidate {
-            dist2: data.dist2_to(id, q),
-            id: id as u32,
-        });
-    }
-    // Scan phase: prune against the live k-th distance. `bound` tracks
-    // `best.peek()` exactly (updated on every insertion), so the
-    // insert/skip decisions match the unpruned scan bit for bit.
-    let mut bound = best.peek().expect("k > 0").dist2;
-    let mut id = filled;
-    let lanes = isa.lanes();
-    if lanes > 1 {
-        let mut d2s = [0.0f64; simd::MAX_LANES];
-        while id + lanes <= n {
-            // The group predicate uses the bound at group entry; a lane the
-            // mask rejects has full d2 >= entry bound >= live bound, so the
-            // scalar scan would skip it too.
-            let mask = simd::knn_group_below(isa, data.rows(id, lanes), q, bound, &mut d2s);
-            if mask != 0 {
-                for (lane, &d2) in d2s.iter().enumerate().take(lanes) {
-                    // Re-validate against the live bound (it may have shrunk
-                    // on an earlier lane of this very group). `!(d2 >= b)` is
-                    // the exact `dist2_below` Some-condition, NaN included.
-                    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                    if mask & (1 << lane) != 0 && !(d2 >= bound) {
-                        best.pop();
-                        best.push(Candidate {
-                            dist2: d2,
-                            id: (id + lane) as u32,
-                        });
-                        bound = best.peek().expect("non-empty").dist2;
-                    }
-                }
-            }
-            id += lanes;
-        }
-    }
-    // Scalar path and the sub-group tail.
-    for id in id..n {
-        if let Some(d2) = dist2_below(data.point(id), q, bound) {
-            best.pop();
-            best.push(Candidate {
-                dist2: d2,
-                id: id as u32,
-            });
-            bound = best.peek().expect("non-empty").dist2;
-        }
-    }
-    // `into_sorted_vec` already yields ascending (dist2, id) order — the
-    // heap's `Ord` — and `sqrt` is monotone, so no re-sort is needed on
-    // this hot ground-truth path.
-    let out: Vec<(f64, u32)> = best
-        .into_sorted_vec()
-        .into_iter()
-        .map(|c| (c.dist2.sqrt(), c.id))
-        .collect();
-    debug_assert!(out
-        .windows(2)
-        .all(|w| w[0].0.total_cmp(&w[1].0).then(w[0].1.cmp(&w[1].1)) != Ordering::Greater));
-    Ok(out)
-}
-
-/// Exact k-NN radii for the dataset points at `ids`, fanned out over
-/// `pool` (order-preserving: `out[i]` belongs to `ids[i]`, identical for
-/// any thread count). This is the batch entry behind workload radius
-/// generation.
-///
-/// # Errors
-///
-/// Same conditions as [`scan_knn`]; the first failing id aborts the batch.
-pub fn scan_knn_radii(data: &Dataset, ids: &[u32], k: usize, pool: &Pool) -> Result<Vec<f64>> {
-    pool.par_map(ids, |&id| scan_knn_radius(data, data.point(id as usize), k))
-        .into_iter()
-        .collect()
+    let mut scan = [Scan::new(data, q, k)?];
+    scan_block(isa, data, &mut scan);
+    let [scan] = scan;
+    Ok(scan.into_neighbors())
 }
 
 /// Radius of the exact k-NN sphere of `q` (distance to the k-th neighbor).
@@ -200,8 +271,63 @@ pub fn scan_knn_radii(data: &Dataset, ids: &[u32], k: usize, pool: &Pool) -> Res
 ///
 /// Same conditions as [`scan_knn`].
 pub fn scan_knn_radius(data: &Dataset, q: &[f32], k: usize) -> Result<f64> {
-    let nn = scan_knn(data, q, k)?;
-    Ok(nn.last().map(|&(d, _)| d).unwrap_or(0.0))
+    let mut scan = [Scan::new(data, q, k)?];
+    scan_block(simd::active(), data, &mut scan);
+    Ok(scan[0].radius())
+}
+
+/// Exact k-NN radii of many `(center, k)` queries in one batched scan,
+/// fanned out over `pool` in contiguous query blocks (one per worker).
+/// `out[i]` is [`scan_knn_radius`] of `queries[i]`, bit for bit, for any
+/// thread count; a malformed query fails alone.
+pub fn knn_radii(data: &Dataset, queries: &[(&[f32], usize)], pool: &Pool) -> Vec<Result<f64>> {
+    knn_radii_with(simd::active(), data, queries, pool)
+}
+
+/// [`knn_radii`] pinned to one SIMD ISA.
+///
+/// # Panics
+///
+/// Panics if `isa` is not supported by this CPU/build.
+pub fn knn_radii_with(
+    isa: Isa,
+    data: &Dataset,
+    queries: &[(&[f32], usize)],
+    pool: &Pool,
+) -> Vec<Result<f64>> {
+    let block = queries.len().div_ceil(pool.threads()).max(1);
+    pool.par_flat_chunks(queries, block, |_, block| {
+        let mut out = Vec::with_capacity(block.len());
+        let mut scans = Vec::with_capacity(block.len());
+        for &(q, k) in block {
+            match Scan::new(data, q, k) {
+                Ok(scan) => {
+                    scans.push(scan);
+                    out.push(Ok(0.0));
+                }
+                Err(e) => out.push(Err(e)),
+            }
+        }
+        scan_block(isa, data, &mut scans);
+        let mut radii = scans.iter().map(Scan::radius);
+        for slot in out.iter_mut().filter(|r| r.is_ok()) {
+            *slot = Ok(radii.next().expect("one scan per valid query"));
+        }
+        out
+    })
+}
+
+/// Exact k-NN radii for the dataset points at `ids` — the batch entry
+/// behind workload radius generation ([`knn_radii`] over those points;
+/// `out[i]` belongs to `ids[i]`, identical for any thread count).
+///
+/// # Errors
+///
+/// Same conditions as [`scan_knn`]; the first failing id fails the batch.
+pub fn scan_knn_radii(data: &Dataset, ids: &[u32], k: usize, pool: &Pool) -> Result<Vec<f64>> {
+    let queries: Vec<(&[f32], usize)> =
+        ids.iter().map(|&id| (data.point(id as usize), k)).collect();
+    knn_radii(data, &queries, pool).into_iter().collect()
 }
 
 #[cfg(test)]

@@ -30,18 +30,20 @@
 //! **explicit force (the CLI's `--simd`) > `HDIDX_SIMD` env
 //! (`auto|scalar|sse2|avx2`) > runtime detection** (AVX2 if
 //! `is_x86_feature_detected!`, else SSE2 on `x86_64` — it is baseline —
-//! else scalar). All `unsafe` is confined to `#[target_feature]` lane
-//! primitives in the private `x86` module; the blocked drivers in
+//! else scalar). A malformed `HDIDX_SIMD` is an error from [`env_isa`],
+//! which front ends call before any work (the kernels themselves panic
+//! on it, never fall back). All `unsafe` is confined to
+//! `#[target_feature]` lane primitives in the private `x86` module; the
+//! blocked drivers in
 //! [`crate::soup`] and [`crate::knn`] are safe and shared by all ISAs.
 //! Every kernel also has a `*_with(isa, ..)` variant so tests and benches
 //! can pin an ISA without touching the process-global state.
 
+use crate::Error;
+use std::env::VarError;
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
-
-/// Maximum `f64` lanes any supported ISA processes per group (AVX2).
-pub const MAX_LANES: usize = 4;
 
 /// Instruction set implementing the geometry kernels. Ordered by
 /// preference: detection picks the last supported variant.
@@ -67,16 +69,6 @@ impl Isa {
             Isa::Scalar => "scalar",
             Isa::Sse2 => "sse2",
             Isa::Avx2 => "avx2",
-        }
-    }
-
-    /// `f64` lanes per vector register (1 for the scalar path).
-    #[must_use]
-    pub fn lanes(self) -> usize {
-        match self {
-            Isa::Scalar => 1,
-            Isa::Sse2 => 2,
-            Isa::Avx2 => 4,
         }
     }
 
@@ -171,32 +163,67 @@ pub fn supported() -> Vec<Isa> {
 
 /// `FORCED` holds `isa as u8 + 1`, 0 meaning "not forced".
 static FORCED: AtomicU8 = AtomicU8::new(0);
-/// Cached env/detection resolution with its provenance label.
-static RESOLVED: OnceLock<(Isa, &'static str)> = OnceLock::new();
+/// Cached env/detection resolution with its provenance label, or the
+/// error a malformed `HDIDX_SIMD` gives.
+static RESOLVED: OnceLock<crate::Result<(Isa, &'static str)>> = OnceLock::new();
 
-fn resolve_env() -> (Isa, &'static str) {
-    match std::env::var("HDIDX_SIMD") {
-        Err(_) => (detect(), "detected"),
-        Ok(raw) => match Choice::parse(raw.trim()) {
-            Ok(Choice::Auto) => (detect(), "env"),
-            Ok(Choice::Fixed(isa)) => {
-                assert!(
-                    isa.is_supported(),
-                    "HDIDX_SIMD={raw} requested but this CPU/build does not support {isa}"
-                );
-                (isa, "env")
-            }
-            Err(e) => panic!("HDIDX_SIMD: {e}"),
-        },
+fn resolve_env() -> crate::Result<(Isa, &'static str)> {
+    let env_error = |message: String| Error::InvalidParameter {
+        name: "HDIDX_SIMD",
+        message,
+    };
+    let raw = match std::env::var("HDIDX_SIMD") {
+        Err(VarError::NotPresent) => return Ok((detect(), "detected")),
+        Err(VarError::NotUnicode(_)) => return Err(env_error("value is not UTF-8".into())),
+        Ok(raw) => raw,
+    };
+    match Choice::parse(raw.trim()).map_err(env_error)? {
+        Choice::Auto => Ok((detect(), "env")),
+        Choice::Fixed(isa) if isa.is_supported() => Ok((isa, "env")),
+        Choice::Fixed(isa) => Err(env_error(format!(
+            "{raw} requested but this CPU/build does not support {isa}"
+        ))),
+    }
+}
+
+/// The ISA `HDIDX_SIMD` (or, when unset, detection) selects, resolved
+/// once and cached. Front ends call it before any work, so a malformed
+/// value surfaces as an error instead of a panic in the first kernel.
+///
+/// # Errors
+///
+/// [`Error::InvalidParameter`] naming `HDIDX_SIMD` for an unknown
+/// spelling, a non-UTF-8 value, or an ISA this CPU/build lacks.
+pub fn env_isa() -> crate::Result<Isa> {
+    RESOLVED
+        .get_or_init(resolve_env)
+        .clone()
+        .map(|(isa, _)| isa)
+}
+
+/// The cached env/detection resolution.
+///
+/// # Panics
+///
+/// Panics with the [`env_isa`] error when `HDIDX_SIMD` is malformed.
+fn resolved() -> (Isa, &'static str) {
+    match RESOLVED.get_or_init(resolve_env) {
+        Ok(resolution) => *resolution,
+        Err(e) => panic!("{e}"),
     }
 }
 
 /// The ISA every dispatching kernel entry point uses. Precedence:
 /// [`force`] > `HDIDX_SIMD` > [`detect`], resolved once and cached.
+///
+/// # Panics
+///
+/// Panics when nothing was forced and `HDIDX_SIMD` is malformed (see
+/// [`env_isa`]).
 #[must_use]
 pub fn active() -> Isa {
     match FORCED.load(Ordering::Relaxed) {
-        0 => RESOLVED.get_or_init(resolve_env).0,
+        0 => resolved().0,
         tag => Isa::from_tag(tag - 1),
     }
 }
@@ -234,7 +261,7 @@ pub fn describe() -> String {
     if FORCED.load(Ordering::Relaxed) != 0 {
         format!("{} (forced)", active())
     } else {
-        let &(isa, source) = RESOLVED.get_or_init(resolve_env);
+        let (isa, source) = resolved();
         format!("{isa} ({source})")
     }
 }
@@ -311,47 +338,90 @@ pub(crate) fn soup_count_chunk(
     }
 }
 
-/// Early-abandon batched point distance for [`crate::knn::scan_knn`]:
-/// `rows` holds `isa.lanes()` consecutive row-major points, lane `l`
-/// owning `rows[l * dim ..][..dim]`. Accumulates every lane's squared
-/// distance to `q` in ascending dimension order (the exact
-/// `dist2_below` chain) and abandons the whole group once every lane's
-/// partial sum satisfies `acc >= bound`.
-///
-/// Returns a lane bitmask of candidates with `!(d2 >= bound)` — the
-/// scalar insertion predicate, including its NaN behavior — and writes
-/// the fully accumulated `d2` of every lane into `out`. A zero mask may
-/// mean "abandoned early", in which case `out` is not meaningful.
-pub(crate) fn knn_group_below(
-    isa: Isa,
-    rows: &[f32],
-    q: &[f32],
-    bound: f64,
-    out: &mut [f64; MAX_LANES],
-) -> u32 {
-    assert!(
-        isa.is_supported(),
-        "ISA {isa} dispatched but not supported by this CPU/build"
-    );
-    assert_eq!(
-        rows.len(),
-        isa.lanes() * q.len(),
-        "rows must hold exactly isa.lanes() points"
-    );
-    #[cfg(target_arch = "x86_64")]
-    {
-        match isa {
-            Isa::Scalar => unreachable!("scalar dispatch handled by scan_knn"),
-            // SAFETY: support asserted above; the length check bounds
-            // every `l * dim + j` load.
-            Isa::Sse2 => unsafe { x86::knn2_below_sse2(rows, q, bound, out) },
-            Isa::Avx2 => unsafe { x86::knn4_below_avx2(rows, q, bound, out) },
-        }
+/// Points per k-NN group: four 4-lane AVX2 chains, or eight 2-lane SSE2
+/// chains.
+pub(crate) const KNN_GROUP: usize = 16;
+
+/// Live lanes at or below which a k-NN group stops its vector chains and
+/// hands the survivors to the caller's scalar re-check: carrying a few
+/// lanes through another dimension tile costs more than finishing them
+/// one at a time.
+const KNN_HANDOFF: u32 = 4;
+
+/// The k-NN group kernel of one vector ISA — the filter behind
+/// [`crate::knn::scan_knn`] and the batched radii. Holding one proves the
+/// ISA is supported, so the per-group call checks geometry only.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KnnKernel(Isa);
+
+impl KnnKernel {
+    /// The kernel for `isa`, or `None` for the scalar path (which offers
+    /// every point to `dist2_below` directly).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `isa` is not supported by this CPU/build.
+    pub(crate) fn new(isa: Isa) -> Option<KnnKernel> {
+        assert!(
+            isa.is_supported(),
+            "ISA {isa} dispatched but not supported by this CPU/build"
+        );
+        (isa != Isa::Scalar).then_some(KnnKernel(isa))
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (rows, q, bound, out);
-        unreachable!("non-scalar ISA {isa} dispatched on a non-x86_64 build")
+
+    /// Survivor masks of one query against consecutive groups of
+    /// [`KNN_GROUP`] points, one mask per group into `masks`. In each
+    /// group every lane accumulates its own `f64` chain in ascending
+    /// dimension order (the exact `dist2_below` chain) and dies once a
+    /// tile-boundary partial sum satisfies `acc >= bound`, exactly where
+    /// `dist2_below` returns `None`. A group stops once at most
+    /// [`KNN_HANDOFF`] lanes live and reports them, so each mask is a
+    /// superset of the points `dist2_below(point, q, bound)` accepts; the
+    /// caller re-checks every set bit.
+    ///
+    /// `rows` holds the groups' points row-major (`rows[p * dim + j]`);
+    /// `tposed` holds each group's dim-major copy, widened to `f64` once
+    /// (group `g`'s `tposed[(g * dim + j) * KNN_GROUP + l]`), of which
+    /// the first `ready[g]` dimensions are already filled. The kernel
+    /// transposes further dimension tiles only when a lane still needs
+    /// them and advances `ready[g]`, so queries that share a group share
+    /// its transposition, and a query that exits after one tile never
+    /// pays for the rest.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a geometry mismatch.
+    pub(crate) fn tile_below(
+        self,
+        rows: &[f32],
+        tposed: &mut [f64],
+        ready: &mut [usize],
+        q: &[f32],
+        bound: f64,
+        masks: &mut [u32],
+    ) {
+        let len = masks.len() * KNN_GROUP * q.len();
+        assert!(
+            rows.len() == len && tposed.len() == len && ready.len() == masks.len(),
+            "k-NN tile geometry mismatch"
+        );
+        #[cfg(target_arch = "x86_64")]
+        {
+            match self.0 {
+                Isa::Scalar => unreachable!("no scalar KnnKernel exists"),
+                // SAFETY: `new` asserted support (SSE2 is baseline, AVX2
+                // runtime-detected); the length checks above bound every
+                // `p * dim + j` and `(g * dim + j) * KNN_GROUP + l` access
+                // for `j < dim`, whatever the `ready` values.
+                Isa::Sse2 => unsafe { x86::knn_tile_sse2(rows, tposed, ready, q, bound, masks) },
+                Isa::Avx2 => unsafe { x86::knn_tile_avx2(rows, tposed, ready, q, bound, masks) },
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (rows, tposed, ready, bound, masks);
+            unreachable!("non-scalar ISA {} dispatched on a non-x86_64 build", self.0)
+        }
     }
 }
 
@@ -376,7 +446,7 @@ fn check_soup_dispatch(isa: Isa, lo: &[f32], hi: &[f32], stride: usize, valid: u
 /// stripe/row geometry asserted by the dispatchers above.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::MAX_LANES;
+    use super::{KNN_GROUP, KNN_HANDOFF};
     use crate::soup::DIM_TILE;
     use core::arch::x86_64::*;
 
@@ -676,87 +746,224 @@ mod x86 {
         }
     }
 
-    /// Four candidate points against one query with early abandon.
+    /// Transposes dimensions `from..to` of one k-NN group into its
+    /// dim-major buffer, widening each coordinate to `f64` (exact).
     ///
     /// # Safety
     ///
-    /// AVX2 detected; `rows.len() == 4 * q.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn knn4_below_avx2(
-        rows: &[f32],
-        q: &[f32],
-        bound: f64,
-        out: &mut [f64; MAX_LANES],
-    ) -> u32 {
-        let dim = q.len();
-        let r = rows.as_ptr();
-        let bv = _mm256_set1_pd(bound);
-        let mut acc = _mm256_setzero_pd();
-        let mut j = 0usize;
-        while j < dim {
-            let tile_end = (j + DIM_TILE).min(dim);
-            while j < tile_end {
-                // Lane l owns point l: the strided f32 loads transpose on
-                // the fly; each lane's f64 chain is the scalar
-                // `dist2_below` chain verbatim.
-                let v = _mm256_cvtps_pd(_mm_setr_ps(
-                    *r.add(j),
-                    *r.add(dim + j),
-                    *r.add(2 * dim + j),
-                    *r.add(3 * dim + j),
-                ));
-                let qv = _mm256_set1_pd(f64::from(*q.get_unchecked(j)));
-                let d = _mm256_sub_pd(v, qv);
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
-                j += 1;
-            }
-            if _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(acc, bv)) == 0b1111 {
-                return 0;
+    /// `rows` and `tposed` must be readable/writable for
+    /// `KNN_GROUP * dim` floats and `to <= dim`.
+    #[inline(always)]
+    unsafe fn transpose_tile(
+        rows: *const f32,
+        tposed: *mut f64,
+        dim: usize,
+        from: usize,
+        to: usize,
+    ) {
+        for l in 0..KNN_GROUP {
+            for j in from..to {
+                *tposed.add(j * KNN_GROUP + l) = f64::from(*rows.add(l * dim + j));
             }
         }
-        let mut vals = [0.0f64; MAX_LANES];
-        _mm256_storeu_pd(vals.as_mut_ptr(), acc);
-        *out = vals;
-        // NGE (unordered quiet) is exactly the scalar insertion predicate
-        // `!(d2 >= bound)`, NaN lanes included.
-        _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_NGE_UQ>(acc, bv)) as u32
     }
 
-    /// Two candidate points against one query with early abandon.
+    /// [`transpose_tile`] for one full [`DIM_TILE`] starting at dimension
+    /// `j`, in registers: two 8 × 8 `f32` transposes (unpack, shuffle,
+    /// then the 128-bit halves), widened to `f64` on the way out.
     ///
     /// # Safety
     ///
-    /// `rows.len() == 2 * q.len()`.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn knn2_below_sse2(
-        rows: &[f32],
-        q: &[f32],
-        bound: f64,
-        out: &mut [f64; MAX_LANES],
-    ) -> u32 {
-        let dim = q.len();
-        let r = rows.as_ptr();
-        let bv = _mm_set1_pd(bound);
-        let mut acc = _mm_setzero_pd();
-        let mut j = 0usize;
-        while j < dim {
-            let tile_end = (j + DIM_TILE).min(dim);
-            while j < tile_end {
-                let v = _mm_setr_pd(f64::from(*r.add(j)), f64::from(*r.add(dim + j)));
-                let qv = _mm_set1_pd(f64::from(*q.get_unchecked(j)));
-                let d = _mm_sub_pd(v, qv);
-                acc = _mm_add_pd(acc, _mm_mul_pd(d, d));
-                j += 1;
-            }
-            if _mm_movemask_pd(_mm_cmpge_pd(acc, bv)) == 0b11 {
-                return 0;
+    /// AVX2 detected; as [`transpose_tile`] with `j + 8 <= dim`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn transpose8_avx2(rows: *const f32, tposed: *mut f64, dim: usize, j: usize) {
+        for half in 0..2 {
+            let row = |l: usize| _mm256_loadu_ps(rows.add((half * 8 + l) * dim + j));
+            // Points a..h of the half, dims 0..8 of the tile.
+            let (a, b, c, d) = (row(0), row(1), row(2), row(3));
+            let (e, f, g, h) = (row(4), row(5), row(6), row(7));
+            // [a0 b0 a1 b1 | a4 b4 a5 b5] and [a2 b2 a3 b3 | a6 b6 a7 b7].
+            let (ab_lo, ab_hi) = (_mm256_unpacklo_ps(a, b), _mm256_unpackhi_ps(a, b));
+            let (cd_lo, cd_hi) = (_mm256_unpacklo_ps(c, d), _mm256_unpackhi_ps(c, d));
+            let (ef_lo, ef_hi) = (_mm256_unpacklo_ps(e, f), _mm256_unpackhi_ps(e, f));
+            let (gh_lo, gh_hi) = (_mm256_unpacklo_ps(g, h), _mm256_unpackhi_ps(g, h));
+            // Dimension k of points a..d in the low half, k + 4 in the high.
+            let first = [
+                _mm256_shuffle_ps::<0x44>(ab_lo, cd_lo),
+                _mm256_shuffle_ps::<0xEE>(ab_lo, cd_lo),
+                _mm256_shuffle_ps::<0x44>(ab_hi, cd_hi),
+                _mm256_shuffle_ps::<0xEE>(ab_hi, cd_hi),
+            ];
+            let second = [
+                _mm256_shuffle_ps::<0x44>(ef_lo, gh_lo),
+                _mm256_shuffle_ps::<0xEE>(ef_lo, gh_lo),
+                _mm256_shuffle_ps::<0x44>(ef_hi, gh_hi),
+                _mm256_shuffle_ps::<0xEE>(ef_hi, gh_hi),
+            ];
+            for (k, (ad, eh)) in first.into_iter().zip(second).enumerate() {
+                let lo = tposed.add((j + k) * KNN_GROUP + half * 8);
+                _mm256_storeu_pd(lo, _mm256_cvtps_pd(_mm256_castps256_ps128(ad)));
+                _mm256_storeu_pd(lo.add(4), _mm256_cvtps_pd(_mm256_castps256_ps128(eh)));
+                let hi = tposed.add((j + k + 4) * KNN_GROUP + half * 8);
+                _mm256_storeu_pd(hi, _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(ad)));
+                _mm256_storeu_pd(hi.add(4), _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(eh)));
             }
         }
-        let mut vals = [0.0f64; 2];
-        _mm_storeu_pd(vals.as_mut_ptr(), acc);
-        out[0] = vals[0];
-        out[1] = vals[1];
-        _mm_movemask_pd(_mm_cmpnge_pd(acc, bv)) as u32
+    }
+
+    /// [`transpose_tile`] for one full [`DIM_TILE`] starting at dimension
+    /// `j`, as eight 4 × 4 `f32` transposes in SSE registers.
+    ///
+    /// # Safety
+    ///
+    /// As [`transpose_tile`] with `j + 8 <= dim`.
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    unsafe fn transpose8_sse2(rows: *const f32, tposed: *mut f64, dim: usize, j: usize) {
+        for quad in 0..KNN_GROUP / 4 {
+            for off in [0, 4] {
+                let row = |l: usize| _mm_loadu_ps(rows.add((quad * 4 + l) * dim + j + off));
+                let (a, b, c, d) = (row(0), row(1), row(2), row(3));
+                let (ab_lo, ab_hi) = (_mm_unpacklo_ps(a, b), _mm_unpackhi_ps(a, b));
+                let (cd_lo, cd_hi) = (_mm_unpacklo_ps(c, d), _mm_unpackhi_ps(c, d));
+                // Dimension k of the four points.
+                let dims = [
+                    _mm_movelh_ps(ab_lo, cd_lo),
+                    _mm_movehl_ps(cd_lo, ab_lo),
+                    _mm_movelh_ps(ab_hi, cd_hi),
+                    _mm_movehl_ps(cd_hi, ab_hi),
+                ];
+                for (k, v) in dims.into_iter().enumerate() {
+                    let p = tposed.add((j + off + k) * KNN_GROUP + quad * 4);
+                    _mm_storeu_pd(p, _mm_cvtps_pd(v));
+                    _mm_storeu_pd(p.add(2), _mm_cvtps_pd(_mm_movehl_ps(v, v)));
+                }
+            }
+        }
+    }
+
+    /// One query against consecutive 16-point groups, each as four
+    /// interleaved 4-lane chains (the interleaving hides the `addpd`
+    /// latency of one chain); see `KnnKernel::tile_below`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 detected; `rows.len() == tposed.len() == masks.len() * 16 *
+    /// q.len()` and `ready.len() == masks.len()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn knn_tile_avx2(
+        rows: &[f32],
+        tposed: &mut [f64],
+        ready: &mut [usize],
+        q: &[f32],
+        bound: f64,
+        masks: &mut [u32],
+    ) {
+        let dim = q.len();
+        let group_len = KNN_GROUP * dim;
+        let bv = _mm256_set1_pd(bound);
+        let zero = _mm256_setzero_pd();
+        for (g, (mask, ready)) in masks.iter_mut().zip(ready.iter_mut()).enumerate() {
+            let rows = rows.as_ptr().add(g * group_len);
+            let t = tposed.as_mut_ptr().add(g * group_len);
+            let (mut a0, mut a1, mut a2, mut a3) = (zero, zero, zero, zero);
+            let mut dead = 0u32;
+            let mut j = 0usize;
+            while j < dim {
+                let tile_end = (j + DIM_TILE).min(dim);
+                if *ready < tile_end {
+                    if tile_end - j == DIM_TILE {
+                        transpose8_avx2(rows, t, dim, j);
+                    } else {
+                        transpose_tile(rows, t, dim, j, tile_end);
+                    }
+                    *ready = tile_end;
+                }
+                while j < tile_end {
+                    // Lane l owns point l; each lane's f64 chain is the
+                    // scalar `dist2_below` chain verbatim (separate mul
+                    // and add).
+                    let qv = _mm256_set1_pd(f64::from(*q.get_unchecked(j)));
+                    let p = t.add(j * KNN_GROUP);
+                    let d0 = _mm256_sub_pd(_mm256_loadu_pd(p), qv);
+                    let d1 = _mm256_sub_pd(_mm256_loadu_pd(p.add(4)), qv);
+                    let d2 = _mm256_sub_pd(_mm256_loadu_pd(p.add(8)), qv);
+                    let d3 = _mm256_sub_pd(_mm256_loadu_pd(p.add(12)), qv);
+                    a0 = _mm256_add_pd(a0, _mm256_mul_pd(d0, d0));
+                    a1 = _mm256_add_pd(a1, _mm256_mul_pd(d1, d1));
+                    a2 = _mm256_add_pd(a2, _mm256_mul_pd(d2, d2));
+                    a3 = _mm256_add_pd(a3, _mm256_mul_pd(d3, d3));
+                    j += 1;
+                }
+                // Ordered `>=` is the scalar `acc >= bound` exit, NaN
+                // included; a lane stays dead once it exits, as the scalar
+                // loop returns.
+                let m0 = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(a0, bv)) as u32;
+                let m1 = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(a1, bv)) as u32;
+                let m2 = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(a2, bv)) as u32;
+                let m3 = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(a3, bv)) as u32;
+                dead |= m0 | (m1 << 4) | (m2 << 8) | (m3 << 12);
+                if (!dead & 0xFFFF).count_ones() <= KNN_HANDOFF {
+                    break;
+                }
+            }
+            *mask = !dead & 0xFFFF;
+        }
+    }
+
+    /// One query against consecutive 16-point groups on SSE2: eight
+    /// 2-lane chains per group.
+    ///
+    /// # Safety
+    ///
+    /// As [`knn_tile_avx2`] (SSE2 itself is `x86_64` baseline).
+    #[target_feature(enable = "sse2")]
+    pub unsafe fn knn_tile_sse2(
+        rows: &[f32],
+        tposed: &mut [f64],
+        ready: &mut [usize],
+        q: &[f32],
+        bound: f64,
+        masks: &mut [u32],
+    ) {
+        let dim = q.len();
+        let group_len = KNN_GROUP * dim;
+        let bv = _mm_set1_pd(bound);
+        for (g, (mask, ready)) in masks.iter_mut().zip(ready.iter_mut()).enumerate() {
+            let rows = rows.as_ptr().add(g * group_len);
+            let t = tposed.as_mut_ptr().add(g * group_len);
+            let mut acc = [_mm_setzero_pd(); 8];
+            let mut dead = 0u32;
+            let mut j = 0usize;
+            while j < dim {
+                let tile_end = (j + DIM_TILE).min(dim);
+                if *ready < tile_end {
+                    if tile_end - j == DIM_TILE {
+                        transpose8_sse2(rows, t, dim, j);
+                    } else {
+                        transpose_tile(rows, t, dim, j, tile_end);
+                    }
+                    *ready = tile_end;
+                }
+                while j < tile_end {
+                    let qv = _mm_set1_pd(f64::from(*q.get_unchecked(j)));
+                    let p = t.add(j * KNN_GROUP);
+                    for (c, a) in acc.iter_mut().enumerate() {
+                        let d = _mm_sub_pd(_mm_loadu_pd(p.add(2 * c)), qv);
+                        *a = _mm_add_pd(*a, _mm_mul_pd(d, d));
+                    }
+                    j += 1;
+                }
+                for (c, &a) in acc.iter().enumerate() {
+                    dead |= (_mm_movemask_pd(_mm_cmpge_pd(a, bv)) as u32) << (2 * c);
+                }
+                if (!dead & 0xFFFF).count_ones() <= KNN_HANDOFF {
+                    break;
+                }
+            }
+            *mask = !dead & 0xFFFF;
+        }
     }
 }
 
@@ -784,12 +991,6 @@ mod tests {
         let det = detect();
         assert!(det.is_supported());
         assert_eq!(sup.last().copied(), Some(det));
-        // Lane widths are what the kernels assume.
-        assert_eq!(
-            (Isa::Scalar.lanes(), Isa::Sse2.lanes(), Isa::Avx2.lanes()),
-            (1, 2, 4)
-        );
-        assert!(Isa::ALL.iter().all(|i| i.lanes() <= MAX_LANES));
         #[cfg(target_arch = "x86_64")]
         assert!(Isa::Sse2.is_supported(), "SSE2 is x86_64 baseline");
     }

@@ -5,12 +5,15 @@
 //!
 //! A [`Server`] owns the bulk-loaded index (leaf boxes flattened into a
 //! [`LeafSoup`] for the blocked counting kernels) plus the grown upper
-//! tree of the paper's sampled cost predictor. Requests arrive in batches;
-//! each admitted batch fans out over the [`Pool`] with per-query panic
-//! isolation ([`Pool::par_map_isolated`]), then a single-threaded
-//! accounting pass advances simulated time. Nothing about latency or fault
-//! injection depends on which OS thread ran a query, so the whole run is
-//! byte-identical at any `HDIDX_THREADS`.
+//! tree of the paper's sampled cost predictor. Before anything executes,
+//! the exact k-NN radii of every `knn` request in the offered stream come
+//! from one batched scan ([`knn_radii`]), bit-identical to a scan per
+//! request; a request whose centre or `k` the scan rejects fails alone.
+//! Requests then run in batches: each admitted batch fans out over the
+//! [`Pool`] with per-query panic isolation ([`Pool::par_map_isolated`]),
+//! and a single-threaded accounting pass advances simulated time. Nothing
+//! about latency or fault injection depends on which OS thread ran a
+//! query, so the whole run is byte-identical at any `HDIDX_THREADS`.
 //!
 //! # Simulated time
 //!
@@ -54,7 +57,7 @@ use crate::latency::{LatencyRecorder, LatencySummary};
 use crate::maintain::{HealthState, Maintenance, MaintenanceReport};
 use crate::overload::OverloadPolicy;
 use crate::request::{Query, QueryClass, Request};
-use hdidx_core::knn::scan_knn_radius;
+use hdidx_core::knn::knn_radii;
 use hdidx_core::{Dataset, Error, LeafSoup, Result};
 use hdidx_diskio::breaker::CircuitBreaker;
 use hdidx_diskio::disk::Disk;
@@ -630,19 +633,23 @@ impl<'a> Server<'a> {
     /// plus leaves, all random I/O) — through a per-request fault plan when
     /// faults are configured, under the class deadline and hedge policy
     /// when one is set.
-    fn execute(&self, req: &Request, cfg: &ServeConfig) -> ExecResult {
+    ///
+    /// A k-NN request takes its radius from `knn_radius`, precomputed by
+    /// [`Server::offered_knn_radii`]; `None` (a centre the scan rejected)
+    /// fails it.
+    fn execute(&self, req: &Request, knn_radius: Option<f64>, cfg: &ServeConfig) -> ExecResult {
         let deadline_s = cfg.overload.deadlines.get(QueryClass::of(&req.query));
         match &req.query {
             Query::Range { center, radius } => {
                 let leaves = self.leaf_soup.count_intersecting(center, radius * radius);
                 self.run_disk_query(req, cfg, leaves, deadline_s)
             }
-            Query::Knn { center, k } => match scan_knn_radius(self.data, center, *k) {
-                Ok(r) => {
+            Query::Knn { center, .. } => match knn_radius {
+                Some(r) => {
                     let leaves = self.leaf_soup.count_intersecting(center, r * r);
                     self.run_disk_query(req, cfg, leaves, deadline_s)
                 }
-                Err(_) => ExecResult::failed(),
+                None => ExecResult::failed(),
             },
             Query::Predict { center, radius } => {
                 let r2 = radius * radius;
@@ -666,6 +673,27 @@ impl<'a> Server<'a> {
                 }
             }
         }
+    }
+
+    /// The exact k-NN radius of every offered `knn` request, indexed like
+    /// `requests`, from one batched scan of the dataset (bit-identical to
+    /// a per-request scan). `None` for other classes and for a request
+    /// whose centre or `k` the scan rejects, which fails that request
+    /// alone.
+    fn offered_knn_radii(&self, requests: &[Request], pool: &Pool) -> Vec<Option<f64>> {
+        let (idx, queries): (Vec<usize>, Vec<(&[f32], usize)>) = requests
+            .iter()
+            .enumerate()
+            .filter_map(|(i, r)| match &r.query {
+                Query::Knn { center, k } => Some((i, (center.as_slice(), *k))),
+                _ => None,
+            })
+            .unzip();
+        let mut radii = vec![None; requests.len()];
+        for (i, r) in idx.into_iter().zip(knn_radii(self.data, &queries, pool)) {
+            radii[i] = r.ok();
+        }
+        radii
     }
 
     /// Prices every offered request's queue delay with a no-shedding
@@ -732,17 +760,24 @@ impl<'a> Server<'a> {
             None => None,
         };
 
+        // The k-NN radii of the whole offered stream come from one batched
+        // scan; per-request execution then only counts and replays.
+        let radii = self.offered_knn_radii(requests, pool);
+        let run_requests = |idx: &[usize]| -> Vec<ExecResult> {
+            pool.par_map_isolated(idx, |&i| self.execute(&requests[i], radii[i], cfg))
+                .into_iter()
+                .map(|r| r.unwrap_or_else(|_| ExecResult::failed()))
+                .collect()
+        };
+        let offered: Vec<usize> = (0..requests.len()).collect();
+
         // Lane admission runs before batching, on the shadow-priced offered
         // stream; the admitted sub-stream is then re-chunked into batches.
         // With lanes off, the admitted stream IS the offered stream and no
         // shadow pass runs (the zero-overload path stays byte-identical).
         let mut class_shed = [0u64; QueryClass::COUNT];
         let (admitted_idx, precomputed) = if let Some(policy) = cfg.overload.lanes {
-            let results: Vec<ExecResult> = pool
-                .par_map_isolated(requests, |r| self.execute(r, cfg))
-                .into_iter()
-                .map(|r| r.unwrap_or_else(|_| ExecResult::failed()))
-                .collect();
+            let results = run_requests(&offered);
             let delays = self.shadow_delays(requests, &results, cfg);
             let mut lanes = LaneState::new(policy)?;
             let mut idx = Vec::with_capacity(requests.len());
@@ -754,7 +789,7 @@ impl<'a> Server<'a> {
             class_shed = lanes.shed_by_class();
             (idx, Some(results))
         } else {
-            ((0..requests.len()).collect::<Vec<_>>(), None)
+            (offered, None)
         };
         let lane_shed: u64 = class_shed.iter().sum();
 
@@ -800,15 +835,7 @@ impl<'a> Server<'a> {
             }
             let results: Vec<ExecResult> = match &precomputed {
                 Some(all) => batch.iter().map(|&i| all[i]).collect(),
-                // Without lanes the admitted indices are contiguous, so the
-                // batch is a subslice of the offered stream.
-                None => {
-                    let reqs = &requests[batch[0]..batch[0] + batch.len()];
-                    pool.par_map_isolated(reqs, |req| self.execute(req, cfg))
-                        .into_iter()
-                        .map(|r| r.unwrap_or_else(|_| ExecResult::failed()))
-                        .collect()
-                }
+                None => run_requests(batch),
             };
             // Single-threaded time accounting: dispatch the batch to the
             // earliest-free slot (lowest index on ties) once its last
@@ -1083,6 +1110,87 @@ mod tests {
         // Per-class sheds sum to the total.
         let shed: u64 = a.by_class.iter().map(|c| c.shed).sum();
         assert_eq!(shed, a.shed);
+    }
+
+    #[test]
+    fn malformed_knn_requests_fail_alone() {
+        let (data, topo) = fixture();
+        let fcfg = FaultConfig::disabled(3)
+            .with_rate_ppm(100_000)
+            .with_retry(hdidx_faults::RetryPolicy::Exponential)
+            .with_phase_scale(FaultPhase::Build, 0);
+        let server = Server::build(&data, &topo, 400, 7, Some(fcfg)).unwrap();
+        let good = stream(&data, 11);
+        // One wrong-dimension centre and one k == 0, arriving alongside
+        // good requests, on fault streams no good request uses.
+        let mut mixed = good.clone();
+        for (slot, query) in [
+            (
+                3,
+                Query::Knn {
+                    center: vec![0.5; 5],
+                    k: 5,
+                },
+            ),
+            (
+                9,
+                Query::Knn {
+                    center: data.point(7).to_vec(),
+                    k: 0,
+                },
+            ),
+        ] {
+            let arrival_s = mixed[slot].arrival_s;
+            let id = 1_000_000 + slot as u64;
+            mixed.insert(
+                slot,
+                Request {
+                    id,
+                    arrival_s,
+                    query,
+                },
+            );
+        }
+        let bad = |r: &Request| r.id >= 1_000_000;
+        let pool = Pool::new(2);
+        for lanes in [
+            None,
+            Some(LanePolicy::parse("range:inf,knn:inf,predict:inf").unwrap()),
+        ] {
+            let mut overload = OverloadPolicy::none();
+            overload.lanes = lanes;
+            let cfg = ServeConfig {
+                overload,
+                ..ServeConfig::new()
+            };
+            let with = server.run(&mixed, &cfg, &pool).unwrap();
+            let without = server.run(&good, &cfg, &pool).unwrap();
+            let knn = QueryClass::Knn.index();
+            assert_eq!(with.failed, without.failed + 2, "lanes {lanes:?}");
+            assert_eq!(with.by_class[knn].failed, without.by_class[knn].failed + 2);
+            assert_eq!(with.executed, without.executed + 2);
+            assert_eq!(with.io, without.io, "failed requests charge nothing");
+            // Per request: the same radius, leaf count and charged I/O.
+            let (r_with, r_without) = (
+                server.offered_knn_radii(&mixed, &pool),
+                server.offered_knn_radii(&good, &pool),
+            );
+            let kept: Vec<usize> = (0..mixed.len()).filter(|&i| !bad(&mixed[i])).collect();
+            assert_eq!(kept.len(), good.len());
+            for (&i, (req, &radius)) in kept.iter().zip(good.iter().zip(&r_without)) {
+                assert_eq!(&mixed[i], req);
+                assert_eq!(r_with[i].map(f64::to_bits), radius.map(f64::to_bits));
+                let (a, b) = (
+                    server.execute(req, r_with[i], &cfg),
+                    server.execute(req, radius, &cfg),
+                );
+                assert_eq!((a.leaf_accesses, a.io, a.ok), (b.leaf_accesses, b.io, b.ok));
+            }
+            for i in (0..mixed.len()).filter(|&i| bad(&mixed[i])) {
+                assert_eq!(r_with[i], None);
+                assert!(!server.execute(&mixed[i], r_with[i], &cfg).ok);
+            }
+        }
     }
 
     #[test]

@@ -83,7 +83,8 @@ impl PartialOrd for Frontier {
 
 /// Optimal best-first k-NN search. Visits exactly the pages whose MINDIST
 /// to the query is at most the final k-NN distance — the access pattern the
-/// paper's prediction model estimates.
+/// paper's prediction model estimates. Neighbors come in ascending squared
+/// distance order, ties by id, like [`scan_knn`].
 ///
 /// # Errors
 ///
@@ -138,12 +139,14 @@ pub fn knn(tree: &RTree, data: &Dataset, q: &[f32], k: usize) -> Result<KnnResul
             }
         }
     }
-    let mut neighbors: Vec<(f64, u32)> = best
+    // `into_sorted_vec` yields ascending (dist2, id) — the order
+    // `scan_knn` reports. Re-sorting by the rounded `sqrt` would swap two
+    // neighbors whose distinct `dist2` share one square root.
+    let neighbors: Vec<(f64, u32)> = best
         .into_sorted_vec()
         .into_iter()
         .map(|c| (c.dist2.sqrt(), c.id))
         .collect();
-    neighbors.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     Ok(KnnResult { neighbors, stats })
 }
 
@@ -331,6 +334,32 @@ mod tests {
             count_sphere_intersections(&pages, &q, 0.3)
         );
         assert!(range_accesses(&tree, &[0.0], 0.1).is_err());
+    }
+
+    #[test]
+    fn knn_orders_by_squared_distance_when_square_roots_tie() {
+        // Brute-force search for two points at distinct squared distances
+        // from the origin whose square roots round to the same f64.
+        let q = [0.0f32, 0.0];
+        let d2 = |p: &[f32]| -> f64 { p.iter().map(|&x| f64::from(x) * f64::from(x)).sum() };
+        let (near, far) = (1..=64)
+            .flat_map(|i| (20..=40).map(move |e| (1.0 + i as f32 / 64.0, (-(e as f32)).exp2())))
+            .map(|(x, y)| ([x, 0.0], [x, y]))
+            .find(|(a, b)| d2(a) < d2(b) && d2(a).sqrt() == d2(b).sqrt())
+            .expect("a square-root tie exists");
+        // The farther point gets the smaller id, so ordering by the rounded
+        // distance with an id tie-break would put it first.
+        let mut flat = far.to_vec();
+        flat.extend_from_slice(&near);
+        for i in 0..30 {
+            flat.extend_from_slice(&[5.0 + i as f32, 5.0]);
+        }
+        let data = Dataset::from_flat(2, flat).unwrap();
+        let tree = tree_over(&data, 4, 3);
+        let truth = scan_knn(&data, &q, 2).unwrap();
+        assert_eq!(truth[0].0, truth[1].0, "the pair's square roots tie");
+        assert_eq!(truth.iter().map(|n| n.1).collect::<Vec<_>>(), vec![1, 0]);
+        assert_eq!(knn(&tree, &data, &q, 2).unwrap().neighbors, truth);
     }
 
     #[test]

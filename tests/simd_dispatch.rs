@@ -171,7 +171,7 @@ fn random_dataset(rng: &mut impl Rng, n: usize, dim: usize) -> Dataset {
 #[test]
 fn knn_scan_identical_across_isas() {
     let mut rng = seeded(0x4E47);
-    // Dataset sizes crossing the 2- and 4-lane group loops (including
+    // Dataset sizes below and across the 16-point groups (including
     // fill-phase-only datasets where n <= k) and k values from 1 to
     // larger-than-n.
     for &dim in DIMS {
