@@ -10,6 +10,7 @@ use hdidx_check::bench::{black_box, BenchSuite};
 use hdidx_core::knn::{knn_radii_with, scan_knn_radius, scan_knn_with};
 use hdidx_core::rng::{seeded, Rng};
 use hdidx_core::{simd, Dataset, LeafSoup};
+use hdidx_datagen::registry::NamedDataset;
 use hdidx_pool::Pool;
 use hdidx_vamsplit::bulkload::bulk_load;
 use hdidx_vamsplit::kdtree::bulk_load_midsplit;
@@ -91,11 +92,48 @@ fn bench_knn(suite: &mut BenchSuite) {
     suite.bench("knn_tree/50000x16/k21", || {
         knn(black_box(&tree), &data, &q, 21).unwrap()
     });
+    bench_knn_tree_clustered(suite);
     for isa in simd::supported() {
         suite.bench(&format!("knn_scan/50000x16/k21/{isa}"), || {
             scan_knn_with(isa, black_box(&data), &q, 21).unwrap()
         });
     }
+}
+
+/// The best-first tree probe where `measure` spends its time: the
+/// full-size clustered TEXTURE60 analog (66 MB of coordinates, past the
+/// last-level cache, as in the end-to-end benchmark), 100 centres drawn
+/// from the data (as the workload's density-biased queries are), k = 21.
+/// Each iteration runs the next centre of the cycle, so the row is the
+/// mean per-query cost. Identity first: every centre's neighbors must
+/// carry the linear scan's distance bits, and its leaf accesses must be
+/// exactly the leaves within the k-th distance.
+fn bench_knn_tree_clustered(suite: &mut BenchSuite) {
+    const K: usize = 21;
+    let data = NamedDataset::Texture60.spec().generate().unwrap();
+    let (n, dim) = (data.len(), data.dim());
+    let topo = Topology::new(dim, n, &PageConfig::DEFAULT).unwrap();
+    let tree = bulk_load(&data, &topo).unwrap();
+    let leaves = tree.leaf_rects();
+    let centres: Vec<&[f32]> = (0..100).map(|i| data.point(i * n / 100)).collect();
+    for q in &centres {
+        let res = knn(&tree, &data, q, K).unwrap();
+        let scan: Vec<u64> = scan_knn_with(simd::Isa::Scalar, &data, q, K)
+            .unwrap()
+            .iter()
+            .map(|nn| nn.0.to_bits())
+            .collect();
+        let probe: Vec<u64> = res.neighbors.iter().map(|nn| nn.0.to_bits()).collect();
+        assert_eq!(probe, scan, "tree probe distances must equal the scan's");
+        let kth = res.neighbors[K - 1].1 as usize;
+        let kth2 = data.dist2_to(kth, q);
+        let within = leaves.iter().filter(|r| r.mindist2(q) <= kth2).count() as u64;
+        assert_eq!(res.stats.leaf_accesses, within, "optimal leaf accesses");
+    }
+    let mut next = centres.iter().cycle();
+    suite.bench(&format!("knn_tree/{n}x{dim}/k{K}"), || {
+        knn(black_box(&tree), &data, next.next().unwrap(), K).unwrap()
+    });
 }
 
 /// Batched k-NN radii against the per-query loop they replace: 500

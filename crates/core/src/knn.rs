@@ -70,10 +70,15 @@ impl PartialOrd for Candidate {
 /// fully accumulated `d2 < bound` — and that value is bit-identical to
 /// [`crate::dataset::dist2`] (same per-dimension `f64` accumulation order;
 /// the early exit is sound because squared terms are non-negative and
-/// their `f64` accumulation is monotone). Checked every [`DIM_TILE`]
-/// dimensions so the inner loop stays unroll-friendly.
+/// their `f64` accumulation is monotone). Checked every 8 dimensions so
+/// the inner loop stays unroll-friendly.
+///
+/// This is the one insert/skip test of every exact k-NN search in the
+/// workspace: the linear scan here and the best-first tree probe in
+/// `hdidx-vamsplit` both replace their k-th candidate exactly when it
+/// returns `Some`.
 #[inline]
-fn dist2_below(p: &[f32], q: &[f32], bound: f64) -> Option<f64> {
+pub fn dist2_below(p: &[f32], q: &[f32], bound: f64) -> Option<f64> {
     debug_assert_eq!(p.len(), q.len());
     let mut acc = 0.0f64;
     let mut j = 0usize;
@@ -88,7 +93,8 @@ fn dist2_below(p: &[f32], q: &[f32], bound: f64) -> Option<f64> {
         }
         j = tile_end;
     }
-    Some(acc)
+    // Catches a NaN sum or bound, which never reaches the exit above.
+    (acc < bound).then_some(acc)
 }
 
 /// One query's scan state: its k best candidates so far and the live

@@ -205,17 +205,17 @@ impl HyperRect {
         acc
     }
 
-    /// Early-exit MINDIST² predicate: whether the squared distance from `q`
-    /// to the rectangle exceeds `r2`, stopping the accumulation as soon as
-    /// the partial sum is decided. Because every per-dimension term is
-    /// non-negative and `f64` addition of non-negative terms is monotone,
-    /// a partial sum above `r2` can never come back down — the answer is
-    /// exactly `self.mindist2(q) > r2`, at a fraction of the work for far
-    /// rectangles in high dimensions. [`HyperRect::mindist2`] itself stays
-    /// exact (best-first search needs the full value for its frontier
-    /// ordering).
+    /// Early-exit MINDIST²: `Some(self.mindist2(q))` when it is at most
+    /// `r2`, `None` as soon as the partial sum exceeds `r2`. Every
+    /// per-dimension term is non-negative and `f64` addition of
+    /// non-negative terms is monotone, so a partial sum above `r2` can
+    /// never come back down — the verdict is exactly `mindist2(q) <= r2`,
+    /// and a returned value is bit-identical to [`HyperRect::mindist2`]
+    /// (same terms, same order), at a fraction of the work for far
+    /// rectangles in high dimensions. Best-first k-NN search uses the
+    /// value for its frontier order once it holds a k-th bound.
     #[inline]
-    pub fn mindist2_exceeds(&self, q: &[f32], r2: f64) -> bool {
+    pub fn mindist2_within(&self, q: &[f32], r2: f64) -> Option<f64> {
         debug_assert_eq!(q.len(), self.dim());
         let mut acc = 0.0f64;
         for ((&lo, &hi), &x) in self.lo.iter().zip(&self.hi).zip(q) {
@@ -231,10 +231,19 @@ impl HyperRect {
             };
             acc += d * d;
             if acc > r2 {
-                return true;
+                return None;
             }
         }
-        false
+        // Catches a NaN `r2`, which no partial sum exceeds.
+        (acc <= r2).then_some(acc)
+    }
+
+    /// Early-exit MINDIST² predicate: whether the squared distance from `q`
+    /// to the rectangle exceeds `r2` — exactly `self.mindist2(q) > r2`,
+    /// decided by [`HyperRect::mindist2_within`].
+    #[inline]
+    pub fn mindist2_exceeds(&self, q: &[f32], r2: f64) -> bool {
+        self.mindist2_within(q, r2).is_none()
     }
 
     /// Whether the closed ball `{x : |x - center| <= radius}` intersects the
@@ -402,6 +411,30 @@ mod tests {
         let unit = unit2();
         assert!(!unit.mindist2_exceeds(&[2.0, 1.0], 1.0));
         assert!(unit.mindist2_exceeds(&[2.0, 1.0], 0.999));
+    }
+
+    #[test]
+    fn mindist2_within_returns_the_full_value_or_none() {
+        let r = HyperRect::new(vec![0.0, 0.0, 0.0], vec![1.0, 2.0, 0.5]).unwrap();
+        let qs: [&[f32]; 4] = [
+            &[0.5, 1.0, 0.25],
+            &[2.0, 1.0, 0.25],
+            &[2.0, 4.0, 3.0],
+            &[-1.0, 3.0, 0.5],
+        ];
+        for q in qs {
+            let d2 = r.mindist2(q);
+            for r2 in [0.0, 0.5, d2, d2 + 1e-12, 10.0, f64::INFINITY] {
+                let within = r.mindist2_within(q, r2);
+                assert_eq!(within.is_some(), d2 <= r2, "q = {q:?}, r2 = {r2}");
+                if let Some(v) = within {
+                    assert_eq!(v.to_bits(), d2.to_bits(), "q = {q:?}, r2 = {r2}");
+                }
+            }
+        }
+        // Tangency is within; the early exit stops before the last dims.
+        assert_eq!(unit2().mindist2_within(&[2.0, 1.0], 1.0), Some(1.0));
+        assert_eq!(unit2().mindist2_within(&[3.0, 3.0], 3.9), None);
     }
 
     #[test]

@@ -425,6 +425,32 @@ impl KnnKernel {
     }
 }
 
+/// Bytes per cache line, the step of [`prefetch`].
+const CACHE_LINE: usize = 64;
+
+/// Hints the CPU to start loading every cache line of `row` — issued for
+/// all the rows of a page before any is scored, so the loads of points
+/// gathered by id from a large dataset overlap instead of stalling one
+/// row at a time. A hint only: no result depends on it, and it does
+/// nothing off `x86_64`.
+#[inline]
+pub fn prefetch(row: &[f32]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let first = row.as_ptr().cast::<i8>();
+        let skew = first as usize % CACHE_LINE;
+        for off in (0..skew + std::mem::size_of_val(row)).step_by(CACHE_LINE) {
+            // SAFETY: a prefetch is a hint that never dereferences its
+            // address architecturally and cannot fault; SSE is baseline
+            // on x86_64. Each address lies in a cache line `row` touches.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(first.wrapping_sub(skew).wrapping_add(off)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
+}
+
 /// Shared stripe-geometry validation for the soup dispatchers.
 fn check_soup_dispatch(isa: Isa, lo: &[f32], hi: &[f32], stride: usize, valid: usize, dim: usize) {
     assert!(

@@ -141,29 +141,43 @@ impl<'a> Cursor<'a> {
     fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
+
+    /// Bytes not yet decoded — the bound on any capacity a decoded count
+    /// asks for.
+    fn left(&self) -> usize {
+        self.bytes.len() - self.at
+    }
 }
 
+/// Decodes `num_nodes` node records. Every capacity is bounded by the
+/// bytes left, so hostile counts fail as truncation instead of
+/// allocating.
 fn decode_nodes(bytes: &[u8], dim: usize, num_nodes: usize) -> Result<Vec<Node>> {
     let mut cur = Cursor { bytes, at: 0 };
-    let mut nodes = Vec::with_capacity(num_nodes);
+    // level, lo, hi, tag and at least one u32 of payload.
+    let min_record = dim.saturating_mul(8).saturating_add(9);
+    let mut nodes = Vec::with_capacity(num_nodes.min(cur.left() / min_record));
     for _ in 0..num_nodes {
         let level = cur.u32()?;
-        let mut lo = Vec::with_capacity(dim);
-        let mut hi = Vec::with_capacity(dim);
+        let mut lo = Vec::with_capacity(dim.min(cur.left() / 4));
+        let mut hi = Vec::with_capacity(dim.min(cur.left() / 4));
         for _ in 0..dim {
             lo.push(cur.f32()?);
         }
         for _ in 0..dim {
             hi.push(cur.f32()?);
         }
-        let rect = HyperRect::new(lo, hi)?;
+        let rect = HyperRect::new(lo, hi).map_err(|e| Error::StoreFailure {
+            op: "snapshot decode",
+            detail: format!("node {}: {e}", nodes.len()),
+        })?;
         let kind = match cur.u8()? {
             0 => NodeKind::Leaf {
                 entries: cur.u32()?..cur.u32()?,
             },
             1 => {
                 let count = cur.u32()? as usize;
-                let mut children = Vec::with_capacity(count);
+                let mut children = Vec::with_capacity(count.min(cur.left() / 4));
                 for _ in 0..count {
                     children.push(cur.u32()?);
                 }
@@ -255,17 +269,18 @@ pub fn load_index(store: &mut dyn PageStore) -> Result<(RTree, FileHandle)> {
     let mut sb = vec![0u8; PAYLOAD_BYTES];
     store.read_pages(&sb_handle, 0, 1, &mut sb)?;
     let word = |i: usize| u64::from_le_bytes(sb[i * 8..i * 8 + 8].try_into().unwrap());
+    let bad = |detail: String| Error::StoreFailure {
+        op: "snapshot superblock",
+        detail,
+    };
     if word(0) != SNAP_MAGIC {
-        return Err(Error::StoreFailure {
-            op: "snapshot superblock",
-            detail: format!("bad magic {:#018x} (no index persisted?)", word(0)),
-        });
+        return Err(bad(format!(
+            "bad magic {:#018x} (no index persisted?)",
+            word(0)
+        )));
     }
     if word(1) != VERSION {
-        return Err(Error::StoreFailure {
-            op: "snapshot superblock",
-            detail: format!("unsupported version {}", word(1)),
-        });
+        return Err(bad(format!("unsupported version {}", word(1))));
     }
     let dim = word(2) as usize;
     let root_level = word(3) as usize;
@@ -276,29 +291,50 @@ pub fn load_index(store: &mut dyn PageStore) -> Result<(RTree, FileHandle)> {
     let node_pages = word(8);
     let entry_len = word(9) as usize;
     let node_len = word(10) as usize;
-    if entry_len != num_entries * 4 || entry_len > entry_pages as usize * PAYLOAD_BYTES {
-        return Err(Error::StoreFailure {
-            op: "snapshot superblock",
-            detail: format!("entry arena: {num_entries} entries in {entry_len} bytes"),
-        });
+    // Every size is checked against the store before anything is
+    // allocated from it.
+    let total = entry_pages
+        .checked_add(node_pages)
+        .and_then(|p| p.checked_add(1))
+        .filter(|&t| t <= store.pages())
+        .ok_or_else(|| {
+            bad(format!(
+                "{entry_pages} entry + {node_pages} node pages exceed the store's {}",
+                store.pages()
+            ))
+        })?;
+    let region_bytes = |pages: u64| {
+        usize::try_from(pages)
+            .ok()
+            .and_then(|p| p.checked_mul(PAYLOAD_BYTES))
+            .ok_or_else(|| bad(format!("{pages} pages overflow a byte count")))
+    };
+    let (entry_bytes, node_bytes) = (region_bytes(entry_pages)?, region_bytes(node_pages)?);
+    if num_entries.checked_mul(4) != Some(entry_len) || entry_len > entry_bytes {
+        return Err(bad(format!(
+            "entry arena: {num_entries} entries in {entry_len} bytes"
+        )));
     }
-    if node_len > node_pages as usize * PAYLOAD_BYTES {
-        return Err(Error::StoreFailure {
-            op: "snapshot superblock",
-            detail: format!("node arena: {node_len} bytes in {node_pages} pages"),
-        });
+    if node_len > node_bytes {
+        return Err(bad(format!(
+            "node arena: {node_len} bytes in {node_pages} pages"
+        )));
     }
-    let total = 1 + entry_pages + node_pages;
+    if dim == 0 || dim > node_len / 8 {
+        return Err(bad(format!(
+            "dimensionality {dim} for a {node_len}-byte node arena"
+        )));
+    }
     let f = FileHandle::from_raw(0, total);
 
-    let mut buf = vec![0u8; entry_pages as usize * PAYLOAD_BYTES];
+    let mut buf = vec![0u8; entry_bytes];
     store.read_pages(&f, 1, entry_pages, &mut buf)?;
     let entries: Vec<u32> = buf[..entry_len]
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
         .collect();
 
-    let mut buf = vec![0u8; node_pages as usize * PAYLOAD_BYTES];
+    let mut buf = vec![0u8; node_bytes];
     store.read_pages(&f, 1 + entry_pages, node_pages, &mut buf)?;
     let nodes = decode_nodes(&buf[..node_len], dim, num_nodes)?;
 
@@ -803,6 +839,122 @@ mod tests {
         let (t, g, _) = set.load(&DiskOptions::new()).unwrap();
         assert_eq!((t, g), (sample_tree(), 1));
         assert!(g < g2);
+    }
+
+    /// Persists [`sample_tree`] into an in-memory store, lets `craft`
+    /// rewrite the snapshot's pages (through the store, so every page
+    /// checksum stays valid), and returns what loading it gives.
+    fn load_crafted(craft: impl FnOnce(&mut Vec<u8>, &mut Vec<u8>)) -> Result<RTree> {
+        let fs = Arc::new(InjectedFs::clean());
+        let dir = PathBuf::from("/crafted");
+        let opts = DiskOptions::new();
+        let mut st = FileStore::open_in(fs, &dir, Durability::PerBatch, &opts).unwrap();
+        let f = persist_index(&mut st, &sample_tree()).unwrap();
+        assert_eq!(f.pages(), 3, "superblock, entry page, node page");
+        let (mut sb, mut arena) = (vec![0u8; PAYLOAD_BYTES], vec![0u8; PAYLOAD_BYTES]);
+        st.read_pages(&f, 0, 1, &mut sb).unwrap();
+        st.read_pages(&f, 2, 1, &mut arena).unwrap();
+        craft(&mut sb, &mut arena);
+        st.write_pages(&f, 0, 1, &sb).unwrap();
+        st.write_pages(&f, 2, 1, &arena).unwrap();
+        load_index(&mut st).map(|(tree, _)| tree)
+    }
+
+    /// Loads the snapshot with superblock word `word` set to `value`.
+    fn load_with_word(word: usize, value: u64) -> Result<RTree> {
+        load_crafted(|sb, _| sb[word * 8..word * 8 + 8].copy_from_slice(&value.to_le_bytes()))
+    }
+
+    fn assert_store_failure(got: Result<RTree>, what: &str) {
+        assert!(
+            matches!(got, Err(Error::StoreFailure { .. })),
+            "{what}: {got:?}"
+        );
+    }
+
+    #[test]
+    fn an_uncrafted_snapshot_loads() {
+        assert_eq!(load_crafted(|_, _| {}).unwrap(), sample_tree());
+    }
+
+    #[test]
+    fn hostile_dimensionality_is_a_store_failure() {
+        for dim in [0, 3, 1 << 20, u64::MAX / 8 + 1, u64::MAX] {
+            assert_store_failure(load_with_word(2, dim), &format!("dim {dim}"));
+        }
+    }
+
+    #[test]
+    fn hostile_node_count_is_a_store_failure() {
+        for n in [5, 1 << 40, u64::MAX] {
+            assert_store_failure(load_with_word(5, n), &format!("num_nodes {n}"));
+        }
+    }
+
+    #[test]
+    fn hostile_entry_count_is_a_store_failure() {
+        // The sample has 9 entries in 36 bytes; `2^62 + 9` times 4 wraps
+        // to 36, so without checked arithmetic it would pass the
+        // byte-length test.
+        for n in [10, (1 << 62) + 9, u64::MAX] {
+            assert_store_failure(load_with_word(6, n), &format!("num_entries {n}"));
+        }
+    }
+
+    #[test]
+    fn hostile_entry_pages_are_a_store_failure() {
+        for pages in [2, 1 << 40, u64::MAX / PAYLOAD_BYTES as u64 + 1, u64::MAX] {
+            assert_store_failure(load_with_word(7, pages), &format!("entry pages {pages}"));
+        }
+    }
+
+    #[test]
+    fn hostile_node_pages_are_a_store_failure() {
+        for pages in [2, 1 << 40, u64::MAX / PAYLOAD_BYTES as u64 + 1, u64::MAX] {
+            assert_store_failure(load_with_word(8, pages), &format!("node pages {pages}"));
+        }
+    }
+
+    #[test]
+    fn hostile_region_lengths_are_a_store_failure() {
+        for (word, len) in [(9, 40), (9, u64::MAX), (10, PAYLOAD_BYTES as u64 + 1)] {
+            assert_store_failure(load_with_word(word, len), &format!("word {word} = {len}"));
+        }
+        assert_store_failure(load_with_word(10, u64::MAX), "node bytes");
+    }
+
+    #[test]
+    fn hostile_child_count_is_a_store_failure() {
+        // The root record: level (4), lo and hi (2 × 2 × 4), tag (1), then
+        // its child count.
+        let at = 4 + 16 + 1;
+        let got =
+            load_crafted(|_, arena| arena[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes()));
+        assert_store_failure(got, "child count");
+    }
+
+    #[test]
+    fn an_out_of_range_child_fails_load_and_scrub_falls_back() {
+        let fs = InjectedFs::clean();
+        let set =
+            SnapshotSet::open_in(Arc::new(fs), &PathBuf::from("/snaps"), Durability::PerBatch)
+                .unwrap();
+        set.publish(&sample_tree(), &DiskOptions::new()).unwrap();
+        let mut nodes = sample_tree().nodes().to_vec();
+        nodes[0].kind = NodeKind::Inner {
+            children: vec![1, 2, 3, 40],
+        };
+        let bad = RTree::from_arenas(2, 2, 1, nodes, (0..9).rev().collect()).unwrap();
+        let (g2, _) = set.publish(&bad, &DiskOptions::new()).unwrap();
+        assert_eq!(set.current().unwrap(), Some(g2));
+
+        let err = set.load(&DiskOptions::new()).unwrap_err();
+        assert!(err.to_string().contains("child 40"), "{err}");
+        let report = set.scrub(&DiskOptions::new()).unwrap();
+        assert!(report.fell_back, "{report}");
+        assert_eq!(report.generation, Some(1), "{report}");
+        let (t, g, _) = set.load(&DiskOptions::new()).unwrap();
+        assert_eq!((t, g), (sample_tree(), 1));
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! sphere/leaf intersection counting the prediction model is built on.
 
 use crate::tree::{NodeKind, RTree};
-use hdidx_core::{Dataset, Error, HyperRect, Result};
+use hdidx_core::dataset::dist2;
+use hdidx_core::knn::dist2_below;
+use hdidx_core::{simd, Dataset, Error, HyperRect, Result};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -81,34 +83,55 @@ impl PartialOrd for Frontier {
     }
 }
 
+/// Rejects a query or dataset whose dimensionality differs from the
+/// tree's (`zip` would otherwise truncate the distance silently).
+fn check_dims(tree: &RTree, data: Option<&Dataset>, q: &[f32]) -> Result<()> {
+    for actual in [q.len()].into_iter().chain(data.map(Dataset::dim)) {
+        if actual != tree.dim() {
+            return Err(Error::DimensionMismatch {
+                expected: tree.dim(),
+                actual,
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Optimal best-first k-NN search. Visits exactly the pages whose MINDIST
 /// to the query is at most the final k-NN distance — the access pattern the
 /// paper's prediction model estimates. Neighbors come in ascending squared
 /// distance order, ties by id, like [`scan_knn`].
 ///
+/// Once `k` candidates are held, every distance is computed with an early
+/// exit against the live k-th bound: a leaf entry by
+/// [`hdidx_core::knn::dist2_below`] (replace on a strict `<`), a child by
+/// [`HyperRect::mindist2_within`] (push on `<=`). Partial sums of
+/// non-negative terms never decrease, so each decision is the one the full
+/// distance would give, and neighbors, distance bits and [`AccessStats`]
+/// are those of the exhaustive computation. A leaf's rows, gathered by id
+/// from anywhere in the dataset, are prefetched before any is scored.
+///
 /// # Errors
 ///
-/// Returns [`Error::DimensionMismatch`] if `q` has the wrong length and
-/// [`Error::InvalidParameter`] if `k == 0`.
+/// Returns [`Error::DimensionMismatch`] if `q` or `data` does not match the
+/// tree's dimensionality and [`Error::InvalidParameter`] if `k == 0`.
 pub fn knn(tree: &RTree, data: &Dataset, q: &[f32], k: usize) -> Result<KnnResult> {
-    if q.len() != tree.dim() {
-        return Err(Error::DimensionMismatch {
-            expected: tree.dim(),
-            actual: q.len(),
-        });
-    }
+    check_dims(tree, Some(data), q)?;
     if k == 0 {
         return Err(Error::invalid("k", "k must be positive"));
     }
     let mut stats = AccessStats::default();
     let mut best: BinaryHeap<Candidate> = BinaryHeap::with_capacity(k + 1);
+    // The k-th candidate's squared distance once `k` are held; until then
+    // nothing is pruned.
+    let mut bound = f64::INFINITY;
     let mut frontier: BinaryHeap<Frontier> = BinaryHeap::new();
     frontier.push(Frontier {
         mindist2: tree.root().rect.mindist2(q),
         node: 0,
     });
     while let Some(Frontier { mindist2, node }) = frontier.pop() {
-        if best.len() == k && mindist2 > best.peek().expect("k > 0").dist2 {
+        if mindist2 > bound {
             break;
         }
         let n = &tree.nodes()[node as usize];
@@ -116,8 +139,7 @@ pub fn knn(tree: &RTree, data: &Dataset, q: &[f32], k: usize) -> Result<KnnResul
             NodeKind::Inner { children } => {
                 stats.dir_accesses += 1;
                 for &c in children {
-                    let md = tree.nodes()[c as usize].rect.mindist2(q);
-                    if best.len() < k || md <= best.peek().expect("non-empty").dist2 {
+                    if let Some(md) = tree.nodes()[c as usize].rect.mindist2_within(q, bound) {
                         frontier.push(Frontier {
                             mindist2: md,
                             node: c,
@@ -127,13 +149,23 @@ pub fn knn(tree: &RTree, data: &Dataset, q: &[f32], k: usize) -> Result<KnnResul
             }
             NodeKind::Leaf { .. } => {
                 stats.leaf_accesses += 1;
-                for &id in tree.leaf_entries(n) {
-                    let d2 = data.dist2_to(id as usize, q);
+                let ids = tree.leaf_entries(n);
+                for &id in ids {
+                    simd::prefetch(data.point(id as usize));
+                }
+                for &id in ids {
+                    let p = data.point(id as usize);
                     if best.len() < k {
-                        best.push(Candidate { dist2: d2, id });
-                    } else if d2 < best.peek().expect("non-empty").dist2 {
-                        best.pop();
-                        best.push(Candidate { dist2: d2, id });
+                        best.push(Candidate {
+                            dist2: dist2(p, q),
+                            id,
+                        });
+                        if best.len() == k {
+                            bound = best.peek().expect("k > 0").dist2;
+                        }
+                    } else if let Some(d2) = dist2_below(p, q, bound) {
+                        *best.peek_mut().expect("non-empty") = Candidate { dist2: d2, id };
+                        bound = best.peek().expect("non-empty").dist2;
                     }
                 }
             }
@@ -157,12 +189,7 @@ pub fn knn(tree: &RTree, data: &Dataset, q: &[f32], k: usize) -> Result<KnnResul
 ///
 /// Returns [`Error::DimensionMismatch`] on a wrong-length center.
 pub fn range_accesses(tree: &RTree, center: &[f32], radius: f64) -> Result<AccessStats> {
-    if center.len() != tree.dim() {
-        return Err(Error::DimensionMismatch {
-            expected: tree.dim(),
-            actual: center.len(),
-        });
-    }
+    check_dims(tree, None, center)?;
     let mut stats = AccessStats::default();
     let mut stack = vec![0u32];
     while let Some(node) = stack.pop() {
@@ -185,14 +212,10 @@ pub fn range_accesses(tree: &RTree, center: &[f32], radius: f64) -> Result<Acces
 ///
 /// # Errors
 ///
-/// Returns [`Error::DimensionMismatch`] on a wrong-length center.
+/// Returns [`Error::DimensionMismatch`] if `center` or `data` does not
+/// match the tree's dimensionality.
 pub fn range_query(tree: &RTree, data: &Dataset, center: &[f32], radius: f64) -> Result<Vec<u32>> {
-    if center.len() != tree.dim() {
-        return Err(Error::DimensionMismatch {
-            expected: tree.dim(),
-            actual: center.len(),
-        });
-    }
+    check_dims(tree, Some(data), center)?;
     let r2 = radius * radius;
     let mut out = Vec::new();
     let mut stack = vec![0u32];
@@ -304,6 +327,39 @@ mod tests {
         let tree = tree_over(&data, 3, 2);
         assert!(knn(&tree, &data, &[0.5], 1).is_err());
         assert!(knn(&tree, &data, &[0.5, 0.5], 0).is_err());
+    }
+
+    #[test]
+    fn knn_rejects_data_of_another_dimensionality() {
+        let data = random_dataset(40, 3, 21);
+        let tree = tree_over(&data, 4, 3);
+        let wider = random_dataset(40, 4, 22);
+        let err = knn(&tree, &wider, &[0.5; 3], 2).unwrap_err();
+        assert_eq!(
+            err,
+            Error::DimensionMismatch {
+                expected: 3,
+                actual: 4
+            }
+        );
+        let narrower = random_dataset(40, 2, 23);
+        assert!(knn(&tree, &narrower, &[0.5; 3], 2).is_err());
+    }
+
+    #[test]
+    fn range_query_rejects_data_of_another_dimensionality() {
+        let data = random_dataset(40, 3, 24);
+        let tree = tree_over(&data, 4, 3);
+        let narrower = random_dataset(40, 2, 25);
+        let err = range_query(&tree, &narrower, &[0.5; 3], 10.0).unwrap_err();
+        assert_eq!(
+            err,
+            Error::DimensionMismatch {
+                expected: 3,
+                actual: 2
+            }
+        );
+        assert!(range_query(&tree, &data, &[0.5; 3], 10.0).is_ok());
     }
 
     #[test]

@@ -194,60 +194,83 @@ impl RTree {
         self.nodes.iter().filter(move |n| n.level as usize == level)
     }
 
-    /// Consistency check used by tests: every child MBR is contained in its
-    /// parent's, every inner node has at least one child, levels decrease by
-    /// exactly one, every leaf sits at `leaf_level` and is non-empty, and
-    /// leaf entry ranges partition the entry arena.
+    /// Consistency check run on every loaded snapshot and by tests: every
+    /// rectangle has the tree's dimensionality, every child index names a
+    /// node of the arena, every child MBR is contained in its parent's,
+    /// every inner node has at least one child, levels decrease by exactly
+    /// one, every leaf sits at `leaf_level` and is non-empty, and leaf
+    /// entry ranges partition the entry arena. Arenas from an untrusted
+    /// source fail here with an error, never a panic.
     pub fn check_invariants(&self) -> Result<()> {
-        let mut covered = 0usize;
+        let bad = |msg: String| Err(Error::InfeasibleTopology(msg));
+        if let Some(idx) = self.nodes.iter().position(|n| n.rect.dim() != self.dim) {
+            return bad(format!(
+                "node {idx} has {} dimensions (tree has {})",
+                self.nodes[idx].rect.dim(),
+                self.dim
+            ));
+        }
+        let mut ranges = Vec::new();
         for (idx, node) in self.nodes.iter().enumerate() {
             match &node.kind {
                 NodeKind::Inner { children } => {
                     if children.is_empty() {
-                        return Err(Error::InfeasibleTopology(format!(
-                            "inner node {idx} has no children"
-                        )));
+                        return bad(format!("inner node {idx} has no children"));
                     }
                     for &c in children {
-                        let child = &self.nodes[c as usize];
-                        if child.level + 1 != node.level {
-                            return Err(Error::InfeasibleTopology(format!(
+                        let Some(child) = self.nodes.get(c as usize) else {
+                            return bad(format!(
+                                "inner node {idx} names child {c} of {} nodes",
+                                self.nodes.len()
+                            ));
+                        };
+                        if node.level.checked_sub(1) != Some(child.level) {
+                            return bad(format!(
                                 "child {c} at level {} under node {idx} at level {}",
                                 child.level, node.level
-                            )));
+                            ));
                         }
                         for j in 0..self.dim {
                             if child.rect.lo()[j] < node.rect.lo()[j]
                                 || child.rect.hi()[j] > node.rect.hi()[j]
                             {
-                                return Err(Error::InfeasibleTopology(format!(
+                                return bad(format!(
                                     "child {c} MBR not contained in parent {idx} (dim {j})"
-                                )));
+                                ));
                             }
                         }
                     }
                 }
                 NodeKind::Leaf { entries } => {
                     if node.level as usize != self.leaf_level {
-                        return Err(Error::InfeasibleTopology(format!(
+                        return bad(format!(
                             "leaf node {idx} at level {} (expected {})",
                             node.level, self.leaf_level
-                        )));
+                        ));
                     }
                     if entries.start >= entries.end {
-                        return Err(Error::InfeasibleTopology(format!(
-                            "leaf node {idx} is empty"
-                        )));
+                        return bad(format!("leaf node {idx} is empty"));
                     }
-                    covered += (entries.end - entries.start) as usize;
+                    ranges.push((entries.start as usize, entries.end as usize, idx));
                 }
             }
         }
+        ranges.sort_unstable();
+        let mut covered = 0usize;
+        for (start, end, idx) in ranges {
+            if start != covered || end > self.entries.len() {
+                return bad(format!(
+                    "leaf node {idx} holds entries {start}..{end}, expected {covered}.. within {}",
+                    self.entries.len()
+                ));
+            }
+            covered = end;
+        }
         if covered != self.entries.len() {
-            return Err(Error::InfeasibleTopology(format!(
+            return bad(format!(
                 "leaf ranges cover {covered} of {} entries",
                 self.entries.len()
-            )));
+            ));
         }
         Ok(())
     }
@@ -341,6 +364,45 @@ mod tests {
         let mut t = two_leaf_tree();
         t.entries.push(9);
         assert!(t.check_invariants().is_err());
+    }
+
+    #[test]
+    fn invariant_check_rejects_out_of_range_arena_indices() {
+        // Arenas straight from `from_arenas`, as a snapshot decoder hands
+        // them over: an out-of-range child or entry range is an error.
+        let t = two_leaf_tree();
+        let mut nodes = t.nodes().to_vec();
+        nodes[0].kind = NodeKind::Inner {
+            children: vec![1, 7],
+        };
+        let bad_child = RTree::from_arenas(1, 2, 1, nodes, t.entries().to_vec()).unwrap();
+        let err = bad_child.check_invariants().unwrap_err();
+        assert!(err.to_string().contains("child 7"), "{err}");
+
+        let mut nodes = t.nodes().to_vec();
+        nodes[2].kind = NodeKind::Leaf { entries: 2..6 };
+        let six = RTree::from_arenas(1, 2, 1, nodes, vec![0, 1, 2, 3, 4, 5]).unwrap();
+        assert!(six.check_invariants().is_ok(), "a partition of 6");
+        let mut nodes = t.nodes().to_vec();
+        nodes[2].kind = NodeKind::Leaf { entries: 3..7 };
+        let past_end = RTree::from_arenas(1, 2, 1, nodes, vec![0, 1, 2, 3, 4, 5]).unwrap();
+        assert!(past_end.check_invariants().is_err(), "gap and overrun");
+        let mut nodes = t.nodes().to_vec();
+        nodes[1].kind = NodeKind::Leaf { entries: 0..3 };
+        nodes[2].kind = NodeKind::Leaf { entries: 1..2 };
+        let overlap = RTree::from_arenas(1, 2, 1, nodes, vec![0, 1, 2, 3]).unwrap();
+        assert!(
+            overlap.check_invariants().is_err(),
+            "overlap with equal total"
+        );
+
+        let mut nodes = t.nodes().to_vec();
+        nodes[1].rect = HyperRect::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
+        let wide = RTree::from_arenas(1, 2, 1, nodes, t.entries().to_vec()).unwrap();
+        assert!(
+            wide.check_invariants().is_err(),
+            "rect of another dimensionality"
+        );
     }
 
     #[test]
