@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the hot kernels underneath every experiment:
-//! MINDIST, quickselect partitioning, bulk loading, k-NN search,
-//! sphere/leaf intersection counting, and the fractal estimator.
+//! MINDIST, quickselect partitioning, the VAMSplit split kernels and the
+//! on-disk build, bulk loading, k-NN search, sphere/leaf intersection
+//! counting, and the fractal estimator.
 //!
 //! Runs on the workspace's own `hdidx-check` bench runner; results are
 //! printed and written to `BENCH_kernels.json` (one JSON object per
@@ -9,13 +10,15 @@
 use hdidx_check::bench::{black_box, BenchSuite};
 use hdidx_core::knn::{knn_radii_with, scan_knn_radius, scan_knn_with};
 use hdidx_core::rng::{seeded, Rng};
+use hdidx_core::stats::{dim_stats_with, max_variance_dim};
 use hdidx_core::{simd, Dataset, LeafSoup};
 use hdidx_datagen::registry::NamedDataset;
+use hdidx_diskio::external::{build_on_disk, ExternalConfig};
 use hdidx_pool::Pool;
 use hdidx_vamsplit::bulkload::bulk_load;
 use hdidx_vamsplit::kdtree::bulk_load_midsplit;
 use hdidx_vamsplit::query::{count_sphere_intersections, knn};
-use hdidx_vamsplit::split::partition_by_rank;
+use hdidx_vamsplit::split::{partition_by_rank, rank_property_holds};
 use hdidx_vamsplit::topology::{PageConfig, Topology};
 
 fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
@@ -47,6 +50,73 @@ fn bench_partition(suite: &mut BenchSuite) {
             },
         );
     }
+}
+
+/// The split kernels of the VAMSplit bulk loaders on the full-size
+/// TEXTURE60 analog (66 MB of coordinates): `dim_stats` per ISA and the
+/// rank partition over all ids in shuffled order (as a segment's ids are
+/// once earlier splits have permuted them), and the whole on-disk build at
+/// the end-to-end benchmark's M = 10,000. Identity first: every ISA's
+/// mean and variance bits must equal the scalar path's, the partition
+/// must be a permutation with the rank property, and the on-disk tree
+/// must equal the in-memory loader's.
+fn bench_split_kernels(suite: &mut BenchSuite) {
+    const M: usize = 10_000;
+    let spec = NamedDataset::Texture60.spec();
+    let (n, dim) = (spec.n(), spec.dim());
+    let rows = [
+        format!("dim_stats/{n}x{dim}/gathered"),
+        format!("partition_by_rank/{n}x{dim}"),
+        format!("build_on_disk/{n}x{dim}/m{M}"),
+    ];
+    if let Some(f) = suite.filter() {
+        if !rows.iter().any(|r| r.contains(f)) {
+            return;
+        }
+    }
+    let data = spec.generate().unwrap();
+    let mut ids: Vec<u32> = (0..n as u32).collect();
+    seeded(8).fill_shuffle(&mut ids);
+
+    let stat_bits = |isa| {
+        let s = dim_stats_with(isa, &data, &ids).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (bits(&s.mean), bits(&s.variance))
+    };
+    let scalar = stat_bits(simd::Isa::Scalar);
+    for isa in simd::supported() {
+        assert_eq!(stat_bits(isa), scalar, "{isa} dim_stats must match scalar");
+        suite.bench(&format!("{}/{isa}", rows[0]), || {
+            dim_stats_with(isa, black_box(&data), &ids).unwrap()
+        });
+    }
+
+    let split_dim = max_variance_dim(&data, &ids).unwrap();
+    let mut parted = ids.clone();
+    partition_by_rank(&data, &mut parted, split_dim, n / 2);
+    assert!(rank_property_holds(&data, &parted, split_dim, n / 2));
+    parted.sort_unstable();
+    assert!(parted.iter().copied().eq(0..n as u32), "not a permutation");
+    suite.bench_with_setup(
+        &rows[1],
+        || ids.clone(),
+        |mut ids| {
+            partition_by_rank(&data, black_box(&mut ids), split_dim, n / 2);
+            ids
+        },
+    );
+
+    let topo = Topology::new(dim, n, &PageConfig::DEFAULT).unwrap();
+    let cfg = ExternalConfig::with_mem_points(M).unwrap();
+    let built = build_on_disk(&data, &topo, &cfg).unwrap();
+    assert_eq!(
+        built.tree,
+        bulk_load(&data, &topo).unwrap(),
+        "on-disk tree must equal the in-memory tree"
+    );
+    suite.bench(&rows[2], || {
+        build_on_disk(black_box(&data), &topo, &cfg).unwrap()
+    });
 }
 
 fn bench_bulk_load(suite: &mut BenchSuite) {
@@ -372,6 +442,7 @@ fn main() {
     }
     bench_mindist(&mut suite);
     bench_partition(&mut suite);
+    bench_split_kernels(&mut suite);
     bench_bulk_load(&mut suite);
     bench_midsplit(&mut suite);
     bench_knn(&mut suite);

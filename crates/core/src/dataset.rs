@@ -176,7 +176,9 @@ impl Dataset {
         Ok(Dataset { dim: k, data })
     }
 
-    /// Minimal bounding rectangle of the points at `ids`.
+    /// Minimal bounding rectangle of the points at `ids`. Every row is
+    /// prefetched before the first is read: a leaf's ids point anywhere in
+    /// the dataset, and this way their loads overlap.
     ///
     /// # Errors
     ///
@@ -184,6 +186,9 @@ impl Dataset {
     pub fn mbr_of(&self, ids: &[u32]) -> Result<HyperRect> {
         if ids.is_empty() {
             return Err(Error::EmptyInput("ids for MBR"));
+        }
+        for &id in ids {
+            crate::simd::prefetch(self.point(id as usize));
         }
         let mut rect = HyperRect::point(self.point(ids[0] as usize));
         for &id in &ids[1..] {

@@ -5,7 +5,8 @@
 //! early-abandon point-distance kernel behind [`crate::knn::scan_knn`].
 //! This module gives both explicit `core::arch` lanes (SSE2 and AVX2 on
 //! `x86_64`, detected at runtime; a portable scalar fallback everywhere
-//! else) with **zero external dependencies**.
+//! else) with **zero external dependencies**. The bulk loaders' per-split
+//! [`crate::stats::dim_stats`] passes have an AVX2 arm here too.
 //!
 //! ## The identity argument (lanes across leaves, never across dims)
 //!
@@ -23,6 +24,9 @@
 //! scalar block exit is: accumulation of non-negative terms is monotone.
 //! Reducing across dimensions inside a register would re-associate the
 //! sum and break this contract, which is why no kernel here ever does it.
+//! The `dim_stats` arm sums per dimension instead of per point, so there
+//! lane `l` owns dimension `j + l` and adds the points in id order: again
+//! one scalar chain per lane, never a sum across lanes.
 //!
 //! ## Dispatch
 //!
@@ -451,6 +455,76 @@ pub fn prefetch(row: &[f32]) {
     let _ = row;
 }
 
+/// How many ids ahead of the row being read the gathered-row kernels
+/// ([`crate::stats::dim_stats`] and the split-key gather) prefetch: far
+/// enough that a row arrives before it is needed, near enough that it is
+/// still cached when it is.
+pub const PREFETCH_AHEAD: usize = 8;
+
+/// Prefetches the row [`PREFETCH_AHEAD`] places after `ids[i]`, if any.
+#[inline(always)]
+pub(crate) fn prefetch_ahead(data: &crate::Dataset, ids: &[u32], i: usize) {
+    if let Some(&ahead) = ids.get(i + PREFETCH_AHEAD) {
+        prefetch(data.point(ahead as usize));
+    }
+}
+
+/// The mean pass of [`crate::stats::dim_stats`] on AVX2 lanes: `acc[j] +=
+/// x[j]` for every row at `ids`, in order. Lane `l` of each 4-wide group
+/// owns dimension `j + l` and replays the scalar `f64` chain.
+///
+/// # Panics
+///
+/// Panics if AVX2 is not supported or `acc` is not one slot per
+/// dimension.
+pub(crate) fn sum_rows_avx2(data: &crate::Dataset, ids: &[u32], acc: &mut [f64]) {
+    check_rows_dispatch(data, acc.len());
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: AVX2 support and `acc.len() == data.dim()` were asserted
+    // above, so every 4-lane load and store stays inside one row or `acc`.
+    unsafe {
+        x86::sum_rows_avx2(data, ids, acc);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (ids, acc);
+        unreachable!("AVX2 dispatched on a non-x86_64 build")
+    }
+}
+
+/// The variance pass of [`crate::stats::dim_stats`] on AVX2 lanes: `acc[j]
+/// += (x[j] − mean[j])²` for every row at `ids`, in order, with the
+/// subtract, multiply and add as separate ops (an FMA would round once
+/// where the scalar chain rounds twice).
+///
+/// # Panics
+///
+/// Panics if AVX2 is not supported or `mean`/`acc` are not one slot per
+/// dimension.
+pub(crate) fn sum_sq_devs_avx2(data: &crate::Dataset, ids: &[u32], mean: &[f64], acc: &mut [f64]) {
+    check_rows_dispatch(data, acc.len());
+    assert_eq!(mean.len(), acc.len(), "one mean per dimension");
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: as in `sum_rows_avx2`; `mean` has the same length as `acc`.
+    unsafe {
+        x86::sum_sq_devs_avx2(data, ids, mean, acc);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (ids, mean, acc);
+        unreachable!("AVX2 dispatched on a non-x86_64 build")
+    }
+}
+
+/// Shared validation for the gathered-row dispatchers.
+fn check_rows_dispatch(data: &crate::Dataset, slots: usize) {
+    assert!(
+        Isa::Avx2.is_supported(),
+        "ISA avx2 dispatched but not supported by this CPU/build"
+    );
+    assert_eq!(slots, data.dim(), "one accumulator per dimension");
+}
+
 /// Shared stripe-geometry validation for the soup dispatchers.
 fn check_soup_dispatch(isa: Isa, lo: &[f32], hi: &[f32], stride: usize, valid: usize, dim: usize) {
     assert!(
@@ -472,8 +546,9 @@ fn check_soup_dispatch(isa: Isa, lo: &[f32], hi: &[f32], stride: usize, valid: u
 /// stripe/row geometry asserted by the dispatchers above.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{KNN_GROUP, KNN_HANDOFF};
+    use super::{prefetch_ahead, KNN_GROUP, KNN_HANDOFF};
     use crate::soup::DIM_TILE;
+    use crate::Dataset;
     use core::arch::x86_64::*;
 
     /// Bitmask of the low `lanes` of a 16-lane group.
@@ -989,6 +1064,66 @@ mod x86 {
                 }
             }
             *mask = !dead & 0xFFFF;
+        }
+    }
+
+    /// `acc[j] += f64::from(x[j])` for every row `x` at `ids`, in order:
+    /// one 4-lane chain per group of four dimensions, the scalar chain
+    /// for the last `dim % 4`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available and `acc.len() == data.dim()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sum_rows_avx2(data: &Dataset, ids: &[u32], acc: &mut [f64]) {
+        let d = acc.len();
+        let a = acc.as_mut_ptr();
+        for (i, &id) in ids.iter().enumerate() {
+            prefetch_ahead(data, ids, i);
+            let x = data.point(id as usize).as_ptr();
+            let mut j = 0usize;
+            while j + 4 <= d {
+                let v = _mm256_cvtps_pd(_mm_loadu_ps(x.add(j)));
+                _mm256_storeu_pd(a.add(j), _mm256_add_pd(_mm256_loadu_pd(a.add(j)), v));
+                j += 4;
+            }
+            while j < d {
+                *a.add(j) += f64::from(*x.add(j));
+                j += 1;
+            }
+        }
+    }
+
+    /// `acc[j] += (f64::from(x[j]) - mean[j])²` for every row `x` at
+    /// `ids`, in order, lanes as in [`sum_rows_avx2`]; subtract, multiply
+    /// and add stay separate instructions.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available and `mean.len() == acc.len() == data.dim()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sum_sq_devs_avx2(data: &Dataset, ids: &[u32], mean: &[f64], acc: &mut [f64]) {
+        let d = acc.len();
+        let a = acc.as_mut_ptr();
+        let m = mean.as_ptr();
+        for (i, &id) in ids.iter().enumerate() {
+            prefetch_ahead(data, ids, i);
+            let x = data.point(id as usize).as_ptr();
+            let mut j = 0usize;
+            while j + 4 <= d {
+                let dev = _mm256_sub_pd(
+                    _mm256_cvtps_pd(_mm_loadu_ps(x.add(j))),
+                    _mm256_loadu_pd(m.add(j)),
+                );
+                let sq = _mm256_mul_pd(dev, dev);
+                _mm256_storeu_pd(a.add(j), _mm256_add_pd(_mm256_loadu_pd(a.add(j)), sq));
+                j += 4;
+            }
+            while j < d {
+                let dev = f64::from(*x.add(j)) - *m.add(j);
+                *a.add(j) += dev * dev;
+                j += 1;
+            }
         }
     }
 }

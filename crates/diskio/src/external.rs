@@ -27,7 +27,7 @@ use crate::store::{DiskOptions, PageStore};
 use hdidx_core::stats::max_variance_dim;
 use hdidx_core::{Dataset, Error, HyperRect, Result};
 use hdidx_faults::{FaultConfig, FaultEvent, FaultPhase};
-use hdidx_vamsplit::split::partition_by_rank;
+use hdidx_vamsplit::split::{gather_keys, median_of_three, partition_keyed, Keyed};
 use hdidx_vamsplit::topology::Topology;
 use hdidx_vamsplit::tree::{Node, NodeKind, RTree};
 
@@ -181,6 +181,7 @@ pub fn build_on_disk_in(
         out_cursor: 0,
         nodes: Vec::new(),
         ids: (0..n as u32).collect(),
+        keys: Vec::new(),
         recs_per_page,
     };
     let root = b.build_node(0, n, topo.height(), n as f64, false)?;
@@ -227,6 +228,8 @@ struct ExtBuilder<'a> {
     out_cursor: u64,
     nodes: Vec<Node>,
     ids: Vec<u32>,
+    /// Split-key buffer, reused by every split of the build.
+    keys: Vec<Keyed>,
     recs_per_page: u64,
 }
 
@@ -342,10 +345,15 @@ impl<'a> ExtBuilder<'a> {
                 )?;
             }
             let dim = max_variance_dim(self.data, &self.ids[start..end])?;
+            // One gather of the split keys serves both the pass accounting
+            // and the in-memory select.
+            let mut keys = std::mem::take(&mut self.keys);
+            gather_keys(self.data, &self.ids[start..end], dim, &mut keys);
             if !resident {
-                self.account_external_select(start, end, dim, start + rank)?;
+                self.account_external_select(&keys, start, rank)?;
             }
-            partition_by_rank(self.data, &mut self.ids[start..end], dim, rank);
+            partition_keyed(&mut keys, &mut self.ids[start..end], rank);
+            self.keys = keys;
         }
         self.partition_groups(start, start + rank, level, f_left, left_full, resident, out)?;
         self.partition_groups(
@@ -363,42 +371,37 @@ impl<'a> ExtBuilder<'a> {
     /// around real pivots until the active subsegment fits in memory. Pivot
     /// statistics are computed from the actual data, so skew and duplicates
     /// cost what they would really cost (this is where the paper's "five to
-    /// ten times higher than best case on real data" shows up).
+    /// ten times higher than best case on real data" shows up). `keys` are
+    /// the segment's split keys in their current order (from
+    /// [`gather_keys`]), `seg_start` the segment's first record and `rank`
+    /// the cut within it.
     fn account_external_select(
         &mut self,
+        keys: &[Keyed],
         seg_start: usize,
-        seg_end: usize,
-        dim: usize,
-        rank_abs: usize,
+        rank: usize,
     ) -> Result<()> {
-        let key = |b: &Self, i: usize| b.data.point(b.ids[i] as usize)[dim];
-        let mut lo = seg_start;
-        let mut hi = seg_end;
+        let mut lo = 0usize;
+        let mut hi = keys.len();
         loop {
             let len = hi - lo;
             if len <= self.cfg.mem_points {
                 // Read the survivor segment, finish in memory, write back.
+                let first = (seg_start + lo) as u64;
                 self.store
-                    .read_records(&self.file, lo as u64, len as u64, self.recs_per_page)?;
+                    .read_records(&self.file, first, len as u64, self.recs_per_page)?;
                 self.store
-                    .write_records(&self.file, lo as u64, len as u64, self.recs_per_page)?;
+                    .write_records(&self.file, first, len as u64, self.recs_per_page)?;
                 return Ok(());
             }
-            self.partition_pass_io(lo, len)?;
-            let pivot = median3(key(self, lo), key(self, lo + len / 2), key(self, hi - 1));
-            let mut n_less = 0usize;
-            let mut n_eq = 0usize;
-            for i in lo..hi {
-                let k = key(self, i);
-                if k < pivot {
-                    n_less += 1;
-                } else if k == pivot {
-                    n_eq += 1;
-                }
-            }
-            if rank_abs < lo + n_less {
+            self.partition_pass_io(seg_start + lo, len)?;
+            let active = &keys[lo..hi];
+            let pivot = median_of_three(active[0].0, active[len / 2].0, active[len - 1].0);
+            let n_less = active.iter().filter(|k| k.0 < pivot).count();
+            let n_eq = active.iter().filter(|k| k.0 == pivot).count();
+            if rank < lo + n_less {
                 hi = lo + n_less;
-            } else if rank_abs < lo + n_less + n_eq {
+            } else if rank < lo + n_less + n_eq {
                 return Ok(());
             } else {
                 lo += n_less + n_eq;
@@ -452,25 +455,6 @@ impl<'a> ExtBuilder<'a> {
             }
         }
         Ok(())
-    }
-}
-
-#[inline]
-fn median3(a: f32, b: f32, c: f32) -> f32 {
-    if a <= b {
-        if b <= c {
-            b
-        } else if a <= c {
-            c
-        } else {
-            a
-        }
-    } else if a <= c {
-        a
-    } else if b <= c {
-        c
-    } else {
-        b
     }
 }
 

@@ -38,7 +38,7 @@
 //! must derive one stream per subtree via `hdidx_pool::derive_seed`
 //! instead of sharing a sequential stream.
 
-use crate::split::partition_by_rank;
+use crate::split::{partition_by_rank_in, Keyed};
 use crate::topology::Topology;
 use crate::tree::{Node, NodeKind, RTree};
 use hdidx_core::stats::max_variance_dim;
@@ -187,6 +187,8 @@ struct Builder<'a> {
     stop_level: usize,
     nodes: Vec<Node>,
     ids: Vec<u32>,
+    /// Split-key buffer, reused by every split of this builder.
+    keys: Vec<Keyed>,
 }
 
 fn build_tree(
@@ -246,6 +248,7 @@ fn build_segment(
             stop_level,
             nodes: Vec::new(),
             ids,
+            keys: Vec::new(),
         };
         let root = b.build_node(0, n, level, n_full);
         debug_assert_eq!(root, Some(0));
@@ -260,6 +263,7 @@ fn build_segment(
         data,
         topo,
         &mut ids,
+        &mut Vec::new(),
         0,
         len,
         level,
@@ -355,6 +359,7 @@ impl<'a> Builder<'a> {
             self.data,
             self.topo,
             &mut self.ids,
+            &mut self.keys,
             start,
             end,
             level,
@@ -388,12 +393,13 @@ impl<'a> Builder<'a> {
 /// maximum-variance splits, appending `(start, end, n_full)` triples
 /// (possibly empty ranges) to `out`. Shared verbatim by the serial
 /// [`Builder`] and the parallel [`build_segment`] path so both produce
-/// the same permutation.
+/// the same permutation. `keys` is the caller's reused split-key buffer.
 #[allow(clippy::too_many_arguments)]
 fn partition_groups(
     data: &Dataset,
     topo: &Topology,
     ids: &mut [u32],
+    keys: &mut Vec<Keyed>,
     start: usize,
     end: usize,
     level: usize,
@@ -423,12 +429,13 @@ fn partition_groups(
         // Invariant: 0 < rank < len implies the slice holds >= 2 points,
         // so a maximum-variance dimension exists.
         let dim = max_variance_dim(data, &ids[start..end]).expect("non-empty");
-        partition_by_rank(data, &mut ids[start..end], dim, rank);
+        partition_by_rank_in(data, &mut ids[start..end], dim, rank, keys);
     }
     partition_groups(
         data,
         topo,
         ids,
+        keys,
         start,
         start + rank,
         level,
@@ -440,6 +447,7 @@ fn partition_groups(
         data,
         topo,
         ids,
+        keys,
         start + rank,
         end,
         level,

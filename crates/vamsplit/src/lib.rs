@@ -29,10 +29,8 @@
 //! fixed-capacity paged structure.
 
 pub mod bulkload;
-pub mod gridfile;
 pub mod kdtree;
 pub mod mtree;
-pub mod multistep;
 pub mod query;
 pub mod split;
 pub mod sstree;

@@ -8,7 +8,13 @@
 //! flag) variant, which keeps the expected cost linear even on data with
 //! many duplicate coordinates.
 
-use hdidx_core::Dataset;
+use hdidx_core::{simd, Dataset};
+
+/// One split candidate: its coordinate along the split dimension and its
+/// point id. The bulk loaders gather a segment's keys once into a reused
+/// buffer of these, so the quickselect reads a dense array instead of
+/// gathering a row per comparison.
+pub type Keyed = (f32, u32);
 
 /// Reorders `ids` so that the `rank` smallest elements along dimension
 /// `dim` occupy `ids[..rank]` and everything `>=` the implied pivot value
@@ -16,23 +22,83 @@ use hdidx_core::Dataset;
 /// but the rank property always holds exactly.
 ///
 /// `rank` is clamped to `0..=ids.len()`; the boundary values are no-ops.
+/// Allocates a key buffer per call; loops that split repeatedly use
+/// [`partition_by_rank_in`] with one buffer.
 ///
 /// # Panics
 ///
-/// Debug-asserts `dim < data.dim()` and that all ids are in range (via
+/// Debug-asserts `dim < data.dim()`; panics on an out-of-range id (via
 /// slice indexing).
 pub fn partition_by_rank(data: &Dataset, ids: &mut [u32], dim: usize, rank: usize) {
+    partition_by_rank_in(data, ids, dim, rank, &mut Vec::new());
+}
+
+/// [`partition_by_rank`] with a caller-owned key buffer: [`gather_keys`]
+/// then [`partition_keyed`]. The permutation is exactly the one the
+/// quickselect produces on `ids` keyed by row lookups: every pivot,
+/// comparison and swap sees the same key.
+pub fn partition_by_rank_in(
+    data: &Dataset,
+    ids: &mut [u32],
+    dim: usize,
+    rank: usize,
+    keys: &mut Vec<Keyed>,
+) {
     debug_assert!(dim < data.dim());
     let rank = rank.min(ids.len());
     if rank == 0 || rank == ids.len() {
         return;
     }
-    let key = |id: u32| data.point(id as usize)[dim];
+    gather_keys(data, ids, dim, keys);
+    partition_keyed(keys, ids, rank);
+}
+
+/// Fills `keys` with `(coordinate dim, id)` for every id, in order. The
+/// key's cache line is prefetched [`simd::PREFETCH_AHEAD`] ids ahead, since
+/// the ids of a split segment point anywhere in the dataset.
+///
+/// # Panics
+///
+/// Panics if `dim >= data.dim()` or an id is out of range.
+pub fn gather_keys(data: &Dataset, ids: &[u32], dim: usize, keys: &mut Vec<Keyed>) {
+    assert!(dim < data.dim(), "split dimension {dim} out of range");
+    keys.clear();
+    keys.reserve(ids.len());
+    for (i, &id) in ids.iter().enumerate() {
+        if let Some(&ahead) = ids.get(i + simd::PREFETCH_AHEAD) {
+            simd::prefetch(&data.point(ahead as usize)[dim..=dim]);
+        }
+        keys.push((data.point(id as usize)[dim], id));
+    }
+}
+
+/// The quickselect behind [`partition_by_rank`], on the keys
+/// [`gather_keys`] took from `ids`: reorders `keys` so that the `rank`
+/// smallest occupy `keys[..rank]`, then writes the new id order back into
+/// `ids`. `rank` is clamped to `0..=keys.len()`; the boundary values are
+/// no-ops.
+///
+/// # Panics
+///
+/// Panics if `keys` and `ids` differ in length.
+pub fn partition_keyed(keys: &mut [Keyed], ids: &mut [u32], rank: usize) {
+    assert_eq!(keys.len(), ids.len(), "one key per id");
+    select(keys, rank.min(keys.len()));
+    for (id, &(_, k)) in ids.iter_mut().zip(keys.iter()) {
+        *id = k;
+    }
+}
+
+/// Three-way quickselect of `keys` around rank `rank`.
+fn select(keys: &mut [Keyed], rank: usize) {
+    if rank == 0 || rank == keys.len() {
+        return;
+    }
     let mut lo = 0usize;
-    let mut hi = ids.len();
+    let mut hi = keys.len();
     let mut target = rank;
     // Invariant: the answer index `target` (relative to `lo`) lies within
-    // ids[lo..hi]; everything left of `lo` is <= everything in ids[lo..hi],
+    // keys[lo..hi]; everything left of `lo` is <= everything in keys[lo..hi],
     // which is <= everything right of `hi`.
     loop {
         let len = hi - lo;
@@ -41,24 +107,24 @@ pub fn partition_by_rank(data: &Dataset, ids: &mut [u32], dim: usize, rank: usiz
         }
         if len <= 16 {
             // Small segment: insertion sort finishes the job exactly.
-            ids[lo..hi].sort_unstable_by(|&a, &b| key(a).total_cmp(&key(b)));
+            keys[lo..hi].sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
             return;
         }
-        let pivot = median_of_three(key(ids[lo]), key(ids[lo + len / 2]), key(ids[hi - 1]));
-        // Three-way partition of ids[lo..hi] around `pivot`:
+        let pivot = median_of_three(keys[lo].0, keys[lo + len / 2].0, keys[hi - 1].0);
+        // Three-way partition of keys[lo..hi] around `pivot`:
         // [lo, lt) < pivot, [lt, i) == pivot, (gt, hi) > pivot.
         let mut lt = lo;
         let mut i = lo;
         let mut gt = hi;
         while i < gt {
-            let k = key(ids[i]);
+            let k = keys[i].0;
             if k < pivot {
-                ids.swap(lt, i);
+                keys.swap(lt, i);
                 lt += 1;
                 i += 1;
             } else if k > pivot {
                 gt -= 1;
-                ids.swap(i, gt);
+                keys.swap(i, gt);
             } else {
                 i += 1;
             }
@@ -77,8 +143,11 @@ pub fn partition_by_rank(data: &Dataset, ids: &mut [u32], dim: usize, rank: usiz
     }
 }
 
+/// The quickselect's pivot: the median of the first, middle and last
+/// key. Public so the external builder's pass accounting picks the same
+/// pivots.
 #[inline]
-fn median_of_three(a: f32, b: f32, c: f32) -> f32 {
+pub fn median_of_three(a: f32, b: f32, c: f32) -> f32 {
     if a <= b {
         if b <= c {
             b
