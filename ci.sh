@@ -66,16 +66,18 @@ HDIDX_BENCH_SAMPLES=3 HDIDX_BENCH_WARMUP_MS=1 HDIDX_BENCH_TARGET_MS=0.05 \
 # SIMD dispatch-identity leg: the kernel tests must pass with the ISA
 # pinned to the portable scalar path, to SSE2, and with auto-detection
 # (the widest supported lanes) — same assertions, different dispatch,
-# the split kernels' references and the pinned build digests included —
-# and a serve smoke run under each must produce byte-identical latency
-# digests. A digest that moves with the lane width would mean the SIMD
-# kernels are not bit-exact replays of the scalar arithmetic.
+# the split kernels' and the Fig. 6 routing's references and the pinned
+# build and prediction digests included — and a serve smoke run under
+# each must produce byte-identical latency digests. A digest that moves
+# with the lane width would mean the SIMD kernels are not bit-exact
+# replays of the scalar arithmetic.
 echo "==> simd dispatch identity (HDIDX_SIMD=scalar vs sse2 vs auto)"
 for simd_mode in scalar sse2 auto; do
   HDIDX_SIMD="${simd_mode}" cargo test -q --offline -p hdidx-core \
     -- simd soup knn
+  HDIDX_SIMD="${simd_mode}" cargo test -q --offline -p hdidx-model -- routing
   HDIDX_SIMD="${simd_mode}" cargo test -q --offline --test simd_dispatch --test knn_radii \
-    --test split_kernels --test build_identity
+    --test split_kernels --test build_identity --test predict_identity
 done
 
 # Serving smoke legs: the open-loop serving subsystem end to end through

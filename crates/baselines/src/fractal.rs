@@ -1,13 +1,9 @@
 //! The fractal-dimensionality cost model (Korn, Pagel & Faloutsos,
 //! ICDE'00 style).
 //!
-//! Two fractal dimensions are estimated by box counting over a pyramid of
-//! grids (cell side halving per level):
-//!
-//! * `D0` (Hausdorff/box-counting): slope of `log N₀(r)` vs `log (1/r)`,
-//!   where `N₀(r)` is the number of occupied cells at side `r`;
-//! * `D2` (correlation): slope of `log S₂(r)` vs `log r`, where
-//!   `S₂(r) = Σᵢ pᵢ²` over cell occupancy fractions.
+//! The box-counting (Hausdorff) dimension `D0` is estimated over a pyramid
+//! of grids (cell side halving per level): the slope of `log N₀(r)` vs
+//! `log (1/r)`, where `N₀(r)` is the number of occupied cells at side `r`.
 //!
 //! The cost model then replaces the embedding dimensionality in the
 //! page-geometry arithmetic: pages are assumed square *in the fractal
@@ -16,29 +12,29 @@
 //! not the embedding, dimensionality.
 //!
 //! **Reproduction note** (documented in DESIGN.md): Korn et al. also derive
-//! the expected k-NN radius from `D2`; on datasets with `D2 ≪ 1` that
-//! extrapolation is numerically meaningless (`(k/N)^{1/D2}` under/overflows
-//! — this is precisely the regime where the paper reports the fractal
-//! model failing). We therefore feed the model the *measured* mean query
-//! radius — a strictly charitable substitution — and it still
-//! overestimates by large factors on clustered high-dimensional data,
-//! reproducing the paper's Table 4 ordering.
+//! the expected k-NN radius from the correlation dimension `D2`; on
+//! datasets with `D2 ≪ 1` that extrapolation is numerically meaningless
+//! (`(k/N)^{1/D2}` under/overflows — this is precisely the regime where
+//! the paper reports the fractal model failing). We therefore feed the
+//! model the *measured* mean query radius — a strictly charitable
+//! substitution — and it still overestimates by large factors on
+//! clustered high-dimensional data, reproducing the paper's Table 4
+//! ordering. With the radius measured, nothing reads `D2`, so it is not
+//! estimated.
 
 use hdidx_core::{Dataset, Error, Result};
 use hdidx_vamsplit::topology::Topology;
-use std::collections::HashMap;
 
 /// Estimated fractal dimensions of a dataset.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FractalDims {
     /// Box-counting dimension.
     pub d0: f64,
-    /// Correlation dimension.
-    pub d2: f64,
 }
 
-/// Estimates `D0` and `D2` by box counting with `levels` grid refinements
-/// (cell side halves per level). `O(N · d · levels)`.
+/// Estimates `D0` by box counting with `levels` grid refinements (cell
+/// side halves per level). `O(N · (d + log N) · levels)`; deterministic,
+/// bit for bit, across runs and processes.
 ///
 /// # Errors
 ///
@@ -58,16 +54,15 @@ pub fn estimate_fractal_dims(data: &Dataset, levels: usize) -> Result<FractalDim
     let side0 = (0..d).map(|j| mbr.extent(j)).fold(0.0f64, f64::max);
     if side0 == 0.0 {
         // All points identical: a single occupied cell at every scale.
-        return Ok(FractalDims { d0: 0.0, d2: 0.0 });
+        return Ok(FractalDims { d0: 0.0 });
     }
     let mut log_inv_r = Vec::with_capacity(levels);
     let mut log_n0 = Vec::with_capacity(levels);
-    let mut log_s2 = Vec::with_capacity(levels);
-    let n = data.len() as f64;
+    let mut keys: Vec<u64> = Vec::with_capacity(data.len());
     for level in 1..=levels {
         let cells = 1u64 << level;
         let inv_side = cells as f64 / side0;
-        let mut counts: HashMap<u64, u64> = HashMap::new();
+        keys.clear();
         for i in 0..data.len() {
             let p = data.point(i);
             // FNV-1a over the quantized coordinates. With ≤ ~1e6 occupied
@@ -82,22 +77,17 @@ pub fn estimate_fractal_dims(data: &Dataset, levels: usize) -> Result<FractalDim
                 h ^= j as u64;
                 h = h.wrapping_mul(0x1000_0000_01b3);
             }
-            *counts.entry(h).or_insert(0) += 1;
+            keys.push(h);
         }
-        let n0 = counts.len() as f64;
-        let s2: f64 = counts.values().map(|&c| (c as f64 / n).powi(2)).sum();
+        // Occupied cells = distinct cell keys.
+        keys.sort_unstable();
+        keys.dedup();
         log_inv_r.push((inv_side).ln());
-        log_n0.push(n0.ln());
-        log_s2.push(s2.ln());
+        log_n0.push((keys.len() as f64).ln());
     }
-    // D0: slope of log N0 vs log 1/r. D2: slope of log S2 vs log r
-    // = -slope of log S2 vs log 1/r.
+    // D0: slope of log N0 vs log 1/r.
     let d0 = slope(&log_inv_r, &log_n0);
-    let d2 = -slope(&log_inv_r, &log_s2);
-    Ok(FractalDims {
-        d0: d0.max(0.0),
-        d2: d2.max(0.0),
-    })
+    Ok(FractalDims { d0: d0.max(0.0) })
 }
 
 /// Least-squares slope of `y` over `x`.
@@ -163,7 +153,6 @@ mod tests {
         let data = uniform_data(50_000, 2, 101);
         let dims = estimate_fractal_dims(&data, 7).unwrap();
         assert!((dims.d0 - 2.0).abs() < 0.35, "D0 = {}", dims.d0);
-        assert!((dims.d2 - 2.0).abs() < 0.35, "D2 = {}", dims.d2);
     }
 
     #[test]
@@ -178,7 +167,6 @@ mod tests {
         let d = Dataset::from_flat(3, data).unwrap();
         let dims = estimate_fractal_dims(&d, 8).unwrap();
         assert!((dims.d0 - 1.0).abs() < 0.2, "D0 = {}", dims.d0);
-        assert!((dims.d2 - 1.0).abs() < 0.2, "D2 = {}", dims.d2);
     }
 
     #[test]
@@ -205,11 +193,42 @@ mod tests {
     }
 
     #[test]
+    fn d0_bits_match_the_hash_map_count() {
+        // D0 bits recorded when occupied cells were counted as the keys of
+        // a `HashMap`; sorting and deduplicating the same keys must count
+        // the same cells, so the slope keeps every bit.
+        let uniform = uniform_data(50_000, 2, 101);
+        let d0 = estimate_fractal_dims(&uniform, 7).unwrap().d0;
+        assert_eq!(
+            d0.to_bits(),
+            0x3fff_e01a_0743_2ada,
+            "uniform 2-d: D0 = {d0}"
+        );
+
+        let mut rng = seeded(103);
+        let centers: Vec<Vec<f64>> = (0..5)
+            .map(|_| (0..30).map(|_| standard_normal(&mut rng)).collect())
+            .collect();
+        let mut data = Vec::new();
+        for i in 0..20_000 {
+            for &cj in &centers[i % 5] {
+                data.push((cj + 0.05 * standard_normal(&mut rng)) as f32);
+            }
+        }
+        let clustered = Dataset::from_flat(30, data).unwrap();
+        let d0 = estimate_fractal_dims(&clustered, 8).unwrap().d0;
+        assert_eq!(
+            d0.to_bits(),
+            0x3ff5_598f_3933_c176,
+            "clustered 30-d: D0 = {d0}"
+        );
+    }
+
+    #[test]
     fn degenerate_data() {
         let d = Dataset::from_flat(4, vec![1.0; 400]).unwrap();
         let dims = estimate_fractal_dims(&d, 5).unwrap();
         assert_eq!(dims.d0, 0.0);
-        assert_eq!(dims.d2, 0.0);
         let empty = Dataset::with_capacity(4, 0).unwrap();
         assert!(estimate_fractal_dims(&empty, 5).is_err());
         assert!(estimate_fractal_dims(&d, 2).is_err());
@@ -218,7 +237,7 @@ mod tests {
     #[test]
     fn prediction_bounds_and_monotonicity() {
         let topo = Topology::from_capacities(60, 275_465, 33, 16).unwrap();
-        let dims = FractalDims { d0: 3.0, d2: 2.5 };
+        let dims = FractalDims { d0: 3.0 };
         let small = predict_fractal(&topo, &dims, 0.01, 10.0).unwrap();
         let large = predict_fractal(&topo, &dims, 5.0, 10.0).unwrap();
         assert!(small >= 1.0);
@@ -226,7 +245,7 @@ mod tests {
         assert!(small < large);
         assert!(predict_fractal(&topo, &dims, 0.1, 0.0).is_err());
         // D0 = 0 collapses to a single page.
-        let dims0 = FractalDims { d0: 0.0, d2: 0.0 };
+        let dims0 = FractalDims { d0: 0.0 };
         assert_eq!(predict_fractal(&topo, &dims0, 0.1, 10.0).unwrap(), 1.0);
     }
 
@@ -237,7 +256,7 @@ mod tests {
         // radii: the model predicts most pages accessed — the Table 4
         // overestimation.
         let topo = Topology::from_capacities(60, 275_465, 33, 16).unwrap();
-        let dims = FractalDims { d0: 0.1, d2: 0.004 };
+        let dims = FractalDims { d0: 0.1 };
         let p = predict_fractal(&topo, &dims, 0.5, 10.0).unwrap();
         assert!(
             p > 0.6 * topo.leaf_pages() as f64,

@@ -1,7 +1,8 @@
 //! Micro-benchmarks for the hot kernels underneath every experiment:
 //! MINDIST, quickselect partitioning, the VAMSplit split kernels and the
 //! on-disk build, bulk loading, k-NN search, sphere/leaf intersection
-//! counting, and the fractal estimator.
+//! counting, the resampled predictor's box routing, and the fractal
+//! estimator.
 //!
 //! Runs on the workspace's own `hdidx-check` bench runner; results are
 //! printed and written to `BENCH_kernels.json` (one JSON object per
@@ -11,9 +12,12 @@ use hdidx_check::bench::{black_box, BenchSuite};
 use hdidx_core::knn::{knn_radii_with, scan_knn_radius, scan_knn_with};
 use hdidx_core::rng::{seeded, Rng};
 use hdidx_core::stats::{dim_stats_with, max_variance_dim};
-use hdidx_core::{simd, Dataset, LeafSoup};
+use hdidx_core::{simd, Dataset, HyperRect, LeafSoup};
 use hdidx_datagen::registry::NamedDataset;
 use hdidx_diskio::external::{build_on_disk, ExternalConfig};
+use hdidx_model::hupper::recommended_h_upper;
+use hdidx_model::resampled::assign_to_box;
+use hdidx_model::upper::build_upper_phase;
 use hdidx_pool::Pool;
 use hdidx_vamsplit::bulkload::bulk_load;
 use hdidx_vamsplit::kdtree::bulk_load_midsplit;
@@ -425,6 +429,59 @@ fn bench_soup_smoke(suite: &mut BenchSuite) {
     run_soup_shape(suite, "soup_smoke/", 2_000, 8, 14, 16, false);
 }
 
+/// The resampled predictor's Fig. 6 routing where `predict` spends its
+/// time: the full-size COLOR64 analog at the end-to-end benchmark's
+/// M = 10,000, where `σ_lower = 1`, so every point is routed, in id
+/// order, through the grown upper-leaf boxes (each iteration starts from
+/// a fresh copy of them). Identity first: the chosen boxes and the grown
+/// boxes must equal a full-MINDIST first-minimum scan's.
+fn bench_assign(suite: &mut BenchSuite) {
+    const M: usize = 10_000;
+    let spec = NamedDataset::Color64.spec();
+    let (n, dim) = (spec.n(), spec.dim());
+    if suite
+        .filter()
+        .is_some_and(|f| !format!("assign/{n}x{dim}").contains(f))
+    {
+        return;
+    }
+    let data = spec.generate().unwrap();
+    let topo = Topology::new(dim, n, &PageConfig::DEFAULT).unwrap();
+    let h_upper = recommended_h_upper(&topo, M).unwrap();
+    let boxes = build_upper_phase(&data, &topo, M, h_upper, 42)
+        .unwrap()
+        .grown_leaves;
+    let route = |boxes: &mut [HyperRect]| -> Vec<usize> {
+        (0..n)
+            .map(|i| assign_to_box(boxes, data.point(i)))
+            .collect()
+    };
+    let mut routed = boxes.clone();
+    let mut scanned = boxes.clone();
+    let full_scan: Vec<usize> = (0..n)
+        .map(|i| {
+            let p = data.point(i);
+            let d: Vec<f64> = scanned.iter().map(|b| b.mindist2(p)).collect();
+            let best = (1..d.len()).fold(0, |b, j| if d[j] < d[b] { j } else { b });
+            if d[best] > 0.0 {
+                scanned[best].expand_to_point(p);
+            }
+            best
+        })
+        .collect();
+    assert_eq!(
+        route(&mut routed),
+        full_scan,
+        "routing must equal the full scan"
+    );
+    assert_eq!(routed, scanned, "grown boxes must equal the full scan's");
+    suite.bench_with_setup(
+        &format!("assign/{n}x{dim}/k{}", boxes.len()),
+        || boxes.clone(),
+        |mut boxes| route(black_box(&mut boxes)),
+    );
+}
+
 fn bench_fractal(suite: &mut BenchSuite) {
     let data = random_dataset(20_000, 16, 6);
     suite.bench("fractal_dims/20000x16/6levels", || {
@@ -449,6 +506,7 @@ fn main() {
     bench_knn_radii(&mut suite);
     bench_intersections(&mut suite);
     bench_soup(&mut suite);
+    bench_assign(&mut suite);
     bench_fractal(&mut suite);
     suite.finish();
 }

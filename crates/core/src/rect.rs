@@ -238,6 +238,30 @@ impl HyperRect {
         (acc <= r2).then_some(acc)
     }
 
+    /// Containment in the MINDIST sense: exactly `self.mindist2(p) == 0.0`,
+    /// decided by comparisons alone and stopping at the first dimension
+    /// where `p` lies outside.
+    ///
+    /// A dimension is outside only when `x < lo || x > hi`, so a NaN
+    /// coordinate counts as inside, as it does in [`HyperRect::mindist2`]
+    /// (unlike [`HyperRect::contains_point`], which says outside). The
+    /// verdict is exact: an outside dimension has `x` and the bound
+    /// ordered, so they are distinct `f32` values at least 2⁻¹⁴⁹ apart
+    /// (or one is infinite), and the `f64` term it adds to MINDIST² is at
+    /// least 2⁻²⁹⁸ — no underflow — or `+inf`. A sum of non-negative
+    /// terms with one positive term is positive, so MINDIST² is zero
+    /// exactly when no dimension is outside.
+    #[inline]
+    pub fn covers(&self, p: &[f32]) -> bool {
+        debug_assert_eq!(p.len(), self.dim());
+        !self
+            .lo
+            .iter()
+            .zip(&self.hi)
+            .zip(p)
+            .any(|((&lo, &hi), &x)| x < lo || x > hi)
+    }
+
     /// Early-exit MINDIST² predicate: whether the squared distance from `q`
     /// to the rectangle exceeds `r2` — exactly `self.mindist2(q) > r2`,
     /// decided by [`HyperRect::mindist2_within`].
@@ -411,6 +435,53 @@ mod tests {
         let unit = unit2();
         assert!(!unit.mindist2_exceeds(&[2.0, 1.0], 1.0));
         assert!(unit.mindist2_exceeds(&[2.0, 1.0], 0.999));
+    }
+
+    #[test]
+    fn covers_agrees_with_zero_mindist2() {
+        let special = [
+            0.0,
+            -0.0,
+            1.0e-45,
+            -1.0e-45,
+            f32::MIN_POSITIVE,
+            1.0,
+            -1.0,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        // Expansion can adopt infinite bounds (never NaN ones).
+        let mut unbounded = unit2();
+        unbounded.expand_to_point(&[f32::INFINITY, f32::NEG_INFINITY]);
+        let rects = [
+            unit2(),
+            unbounded,
+            HyperRect::point(&[0.0, 1.0e-45]), // point box
+            HyperRect::new(vec![-1.0, 0.0], vec![1.0, 0.0]).unwrap(), // flat box
+            HyperRect::new(vec![-0.0, 1.0e-45], vec![0.0, 2.0e-45]).unwrap(),
+            HyperRect::new(vec![f32::MIN, -1.0], vec![f32::MAX, 1.0]).unwrap(),
+        ];
+        for r in &rects {
+            let (lo, hi) = (r.lo(), r.hi());
+            for &a in special.iter().chain(lo).chain(hi) {
+                for &b in special.iter().chain(lo).chain(hi) {
+                    // Also one f32 step above `a` and one below `b`.
+                    for p in [[a, b], [a.next_up(), b], [a, b.next_down()]] {
+                        assert_eq!(r.covers(&p), r.mindist2(&p) == 0.0, "{r:?} {p:?}");
+                    }
+                }
+            }
+        }
+        // NaN is inside, as in mindist2 (contains_point says outside).
+        assert!(unit2().covers(&[f32::NAN, 0.5]));
+        assert!(!unit2().contains_point(&[f32::NAN, 0.5]));
+        // Faces and corners are inside; the next f32 out is not.
+        assert!(unit2().covers(&[1.0, 0.0]));
+        assert!(!unit2().covers(&[1.0f32.next_up(), 0.0]));
+        assert!(!unit2().covers(&[0.5, (-0.0f32).next_down()]));
     }
 
     #[test]

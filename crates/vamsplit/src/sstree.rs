@@ -9,7 +9,7 @@
 //! a query ball intersects a page sphere iff the center distance is at most
 //! the sum of the radii.
 
-use crate::split::partition_by_rank;
+use crate::split::{partition_by_rank_in, Keyed};
 use crate::topology::Topology;
 use hdidx_core::stats::max_variance_dim;
 use hdidx_core::{dataset::dist2, Dataset, Error, Result};
@@ -106,9 +106,8 @@ impl SsLeafLayout {
                 actual: data.dim(),
             });
         }
-        let n = ids.len();
         let mut pages = Vec::new();
-        split_to_pages(data, &mut ids, 0, n, n_full, topo, &mut pages)?;
+        split_to_pages(data, &mut ids, n_full, topo, &mut Vec::new(), &mut pages)?;
         Ok(SsLeafLayout { pages })
     }
 
@@ -121,36 +120,37 @@ impl SsLeafLayout {
     }
 }
 
-/// Recursively halves the id range (binary max-variance splits, ranks
+/// Recursively halves `ids` (binary max-variance splits, ranks
 /// proportional to full-scale page counts) until each piece corresponds to
-/// one full-scale data page, then emits its bounding sphere.
+/// one full-scale data page, then emits its bounding sphere. Every split
+/// of the build reuses the one key buffer `keys`.
 fn split_to_pages(
     data: &Dataset,
     ids: &mut [u32],
-    start: usize,
-    end: usize,
     n_full: f64,
     topo: &Topology,
+    keys: &mut Vec<Keyed>,
     out: &mut Vec<Sphere>,
 ) -> Result<()> {
-    if start == end {
+    if ids.is_empty() {
         return Ok(());
     }
     let pages_full = (n_full / topo.cap_data() as f64).ceil().max(1.0) as u64;
     if pages_full <= 1 {
-        out.push(Sphere::of_points(data, &ids[start..end])?);
+        out.push(Sphere::of_points(data, ids)?);
         return Ok(());
     }
     let pages_left = pages_full / 2;
     let left_full = (pages_left as f64) * topo.cap_data() as f64;
-    let len = end - start;
+    let len = ids.len();
     let rank = (((len as f64) * left_full / n_full).round() as usize).min(len);
     if rank > 0 && rank < len {
-        let dim = max_variance_dim(data, &ids[start..end])?;
-        partition_by_rank(data, &mut ids[start..end], dim, rank);
+        let dim = max_variance_dim(data, ids)?;
+        partition_by_rank_in(data, ids, dim, rank, keys);
     }
-    split_to_pages(data, ids, start, start + rank, left_full, topo, out)?;
-    split_to_pages(data, ids, start + rank, end, n_full - left_full, topo, out)
+    let (left, right) = ids.split_at_mut(rank);
+    split_to_pages(data, left, left_full, topo, keys, out)?;
+    split_to_pages(data, right, n_full - left_full, topo, keys, out)
 }
 
 #[cfg(test)]
