@@ -10,7 +10,6 @@
 
 use hdidx_check::bench::{black_box, BenchSuite};
 use hdidx_core::knn::{knn_radii_with, scan_knn_radius, scan_knn_with};
-use hdidx_core::rng::{seeded, Rng};
 use hdidx_core::stats::{dim_stats_with, max_variance_dim};
 use hdidx_core::{simd, Dataset, HyperRect, LeafSoup};
 use hdidx_datagen::registry::NamedDataset;
@@ -19,6 +18,7 @@ use hdidx_model::hupper::recommended_h_upper;
 use hdidx_model::resampled::assign_to_box;
 use hdidx_model::upper::build_upper_phase;
 use hdidx_pool::Pool;
+use hdidx_rand::{seeded, Rng};
 use hdidx_vamsplit::bulkload::bulk_load;
 use hdidx_vamsplit::kdtree::bulk_load_midsplit;
 use hdidx_vamsplit::query::{count_sphere_intersections, knn};

@@ -12,10 +12,10 @@
 //! results, so the speedup is never bought with a different answer.
 
 use hdidx_check::bench::{black_box, BenchSuite};
-use hdidx_core::rng::{seeded, Rng};
 use hdidx_core::{Dataset, LeafSoup};
 use hdidx_model::{QueryBall, Resampled, ResampledParams};
 use hdidx_pool::Pool;
+use hdidx_rand::{seeded, Rng};
 use hdidx_vamsplit::bulkload::bulk_load_with;
 use hdidx_vamsplit::query::count_sphere_intersections;
 use hdidx_vamsplit::topology::{PageConfig, Topology};

@@ -357,7 +357,7 @@ impl LeafSoup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::{seeded, Rng};
+    use hdidx_rand::{seeded, Rng};
 
     /// Random rectangles, including degenerate (point) ones.
     fn random_rects(n: usize, dim: usize, seed: u64) -> Vec<HyperRect> {

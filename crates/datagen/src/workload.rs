@@ -14,9 +14,9 @@
 //! `HDIDX_THREADS` steer it like every other hot path).
 
 use hdidx_core::knn::scan_knn_radii;
-use hdidx_core::rng::{sample_without_replacement, seeded};
 use hdidx_core::{Dataset, Error, Result};
 use hdidx_pool::Pool;
+use hdidx_rand::{sample_without_replacement, seeded};
 
 /// One ball query: a center (a dataset point) and its exact k-NN radius.
 #[derive(Debug, Clone, PartialEq)]

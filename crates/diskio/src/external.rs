@@ -461,8 +461,8 @@ impl<'a> ExtBuilder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdidx_core::rng::seeded;
-    use hdidx_core::rng::Rng;
+    use hdidx_rand::seeded;
+    use hdidx_rand::Rng;
     use hdidx_vamsplit::bulkload::bulk_load;
 
     fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {

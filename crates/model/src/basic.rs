@@ -11,11 +11,11 @@ use crate::compensation::growth_factor;
 use crate::predictor::Predictor;
 use crate::scan::faulted_scan;
 use crate::{Prediction, QueryBall};
-use hdidx_core::rng::{bernoulli_sample, seeded};
 use hdidx_core::{Dataset, Error, LeafSoup, Result};
 use hdidx_diskio::IoStats;
 use hdidx_faults::FaultConfig;
 use hdidx_pool::Pool;
+use hdidx_rand::{bernoulli_sample, seeded};
 use hdidx_vamsplit::bulkload::bulk_load_scaled;
 use hdidx_vamsplit::topology::Topology;
 
@@ -180,8 +180,8 @@ fn predict_basic_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdidx_core::rng::seeded as seed_rng;
-    use hdidx_core::rng::Rng;
+    use hdidx_rand::seeded as seed_rng;
+    use hdidx_rand::Rng;
     use hdidx_vamsplit::bulkload::bulk_load;
     use hdidx_vamsplit::query::knn;
 

@@ -13,11 +13,11 @@ use crate::predictor::Predictor;
 use crate::scan::faulted_scan;
 use crate::upper::{build_upper_phase, build_upper_phase_from_sample, UpperPhase};
 use crate::{DegradedReport, Prediction, QueryBall};
-use hdidx_core::rng::{sample_without_replacement, seeded};
 use hdidx_core::{Dataset, Error, HyperRect, LeafSoup, Result};
 use hdidx_diskio::IoStats;
 use hdidx_faults::FaultConfig;
 use hdidx_pool::Pool;
+use hdidx_rand::{sample_without_replacement, seeded};
 use hdidx_vamsplit::topology::Topology;
 
 /// Parameters of the cutoff predictor.
@@ -270,8 +270,8 @@ fn split_box(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdidx_core::rng::seeded;
-    use hdidx_core::rng::Rng;
+    use hdidx_rand::seeded;
+    use hdidx_rand::Rng;
 
     fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
         let mut rng = seeded(seed);

@@ -59,7 +59,7 @@ mod tests {
     use crate::basic::{Basic, BasicParams};
     use crate::cutoff::{Cutoff, CutoffParams};
     use crate::resampled::{Resampled, ResampledParams};
-    use hdidx_core::rng::{seeded, Rng};
+    use hdidx_rand::{seeded, Rng};
 
     fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
         let mut rng = seeded(seed);

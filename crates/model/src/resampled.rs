@@ -27,11 +27,11 @@ use crate::hupper::sigma_lower;
 use crate::predictor::Predictor;
 use crate::upper::build_upper_phase;
 use crate::{DegradedReport, Prediction, QueryBall};
-use hdidx_core::rng::{bernoulli_sample, seeded};
 use hdidx_core::{Dataset, HyperRect, LeafSoup, Result};
 use hdidx_diskio::{Disk, DiskOptions, IoStats};
 use hdidx_faults::{FaultConfig, FaultEvent, FaultPhase};
 use hdidx_pool::Pool;
+use hdidx_rand::{bernoulli_sample, seeded};
 use hdidx_vamsplit::bulkload::bulk_load_subtree_with;
 use hdidx_vamsplit::topology::Topology;
 
@@ -397,8 +397,8 @@ pub fn assign_to_box(boxes: &mut [HyperRect], p: &[f32]) -> usize {
 mod tests {
     use super::*;
     use hdidx_check::{check, prop_assume, Config, Verdict};
-    use hdidx_core::rng::seeded as seed_rng;
-    use hdidx_core::rng::Rng;
+    use hdidx_rand::seeded as seed_rng;
+    use hdidx_rand::Rng;
     use hdidx_vamsplit::bulkload::bulk_load;
     use hdidx_vamsplit::query::knn;
 

@@ -461,8 +461,8 @@ fn partition_groups(
 mod tests {
     use super::*;
     use crate::topology::Topology;
-    use hdidx_core::rng::seeded;
-    use hdidx_core::rng::Rng;
+    use hdidx_rand::seeded;
+    use hdidx_rand::Rng;
 
     fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
         let mut rng = seeded(seed);
@@ -519,7 +519,7 @@ mod tests {
         let full = bulk_load(&data, &topo).unwrap();
         // 25% sample, same virtual full-scale cardinality.
         let mut rng = seeded(5);
-        let sample = hdidx_core::rng::bernoulli_sample(&mut rng, 2000, 0.25);
+        let sample = hdidx_rand::bernoulli_sample(&mut rng, 2000, 0.25);
         let mini = bulk_load_scaled(&data, sample, &topo, 2000.0).unwrap();
         mini.check_invariants().unwrap();
         assert_eq!(mini.height(), full.height());

@@ -12,8 +12,8 @@
 //! scan gives.
 
 use hdidx_check::{check, prop_assume, Config, Verdict};
+use hdidx_rand::{seeded, Rng};
 use hdidx_repro::core::knn::{knn_radii_with, scan_knn_radius, scan_knn_with};
-use hdidx_repro::core::rng::{seeded, Rng};
 use hdidx_repro::core::{simd, Dataset, Result};
 use hdidx_repro::pool::Pool;
 

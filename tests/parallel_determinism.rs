@@ -7,7 +7,7 @@
 //! else injects explicit `Pool`s.
 
 use hdidx_check::{check, prop_assert_eq, Config, Verdict};
-use hdidx_repro::core::rng::{seeded, Rng};
+use hdidx_rand::{seeded, Rng};
 use hdidx_repro::core::Dataset;
 use hdidx_repro::model::upper::build_upper_phase;
 use hdidx_repro::model::{Cutoff, CutoffParams, QueryBall, Resampled, ResampledParams};

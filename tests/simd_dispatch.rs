@@ -11,8 +11,8 @@
 //! process-global `simd::force` is never touched, so they cannot race
 //! with each other or perturb auto-dispatching tests in this binary.
 
+use hdidx_rand::{seeded, Rng};
 use hdidx_repro::core::knn::{scan_knn_radii, scan_knn_with};
-use hdidx_repro::core::rng::{seeded, Rng};
 use hdidx_repro::core::simd;
 use hdidx_repro::core::{Dataset, HyperRect, LeafSoup};
 use hdidx_repro::pool::Pool;

@@ -5,7 +5,7 @@
 //! 64, degenerate point rectangles, zero radii, and 1/2/8 worker threads.
 
 use hdidx_check::{check, prop_assert_eq, Config, Verdict};
-use hdidx_repro::core::rng::{seeded, Rng};
+use hdidx_rand::{seeded, Rng};
 use hdidx_repro::core::{HyperRect, LeafSoup};
 use hdidx_repro::pool::Pool;
 

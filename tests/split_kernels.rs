@@ -17,7 +17,7 @@
 //!   reused, dirty key buffer.
 
 use hdidx_check::{check, prop_assume, Config, Verdict};
-use hdidx_repro::core::rng::{seeded, Rng};
+use hdidx_rand::{seeded, Rng};
 use hdidx_repro::core::simd;
 use hdidx_repro::core::stats::{dim_stats, dim_stats_with, max_variance_dim};
 use hdidx_repro::core::Dataset;

@@ -22,8 +22,8 @@
 //! from both `bulk_load` and `build_on_disk`.
 
 use hdidx_check::{check, prop_assume, Config, Verdict};
+use hdidx_rand::{seeded, Rng};
 use hdidx_repro::core::knn::scan_knn;
-use hdidx_repro::core::rng::{seeded, Rng};
 use hdidx_repro::core::Dataset;
 use hdidx_repro::diskio::build_on_disk;
 use hdidx_repro::diskio::external::ExternalConfig;
