@@ -95,6 +95,19 @@ cargo run -q --release -p hdidx-cli --offline -- serve \
   --fault-seed 3 --fault-ppm 300000 --retry-policy exponential \
   --fault-phase-scale build:0 --admission-budget 0.05
 
+# Experiment-command identity leg: predict, compare and measure must
+# print byte-identical full reports at 1 and 2 threads, so every report
+# line (not just the serve digests) is pinned across thread counts.
+echo "==> hdidx predict/compare/measure: --threads 1 == --threads 2 (full report identity)"
+for cmd in predict compare measure; do
+  for threads in 1 2; do
+    cargo run -q --release -p hdidx-cli --offline -- "${cmd}" \
+      --data target/bench-smoke/t48.csv --m 200 --queries 10 --k 5 \
+      --threads "${threads}" > "target/bench-smoke/${cmd}_t${threads}.txt"
+  done
+  diff "target/bench-smoke/${cmd}_t1.txt" "target/bench-smoke/${cmd}_t2.txt"
+done
+
 echo "==> serve_sweep --smoke (tail-latency experiment)"
 HDIDX_BENCH_OUT="$PWD/target/bench-smoke" \
   cargo run -q --release -p hdidx-bench --bin serve_sweep --offline -- --smoke

@@ -2,15 +2,8 @@
 //!
 //! Library backing the `hdidx` command-line tool: CSV dataset I/O, argument
 //! parsing and the command implementations. Kept as a library so the logic
-//! is unit-testable; `main.rs` is a thin shell.
-//!
-//! ```text
-//! hdidx info    --data points.csv [--page-bytes 8192]
-//! hdidx predict --data points.csv --m 10000 [--method resampled|cutoff|basic]
-//!               [--queries 500] [--k 21] [--h-upper N] [--zeta F] [--seed S]
-//! hdidx measure --data points.csv --m 10000 [--queries 500] [--k 21]
-//! hdidx generate --dataset texture60 --scale 0.1 --out points.csv
-//! ```
+//! is unit-testable; `main.rs` is a thin shell. The commands and their
+//! flags are listed in [`args::USAGE`] (what `hdidx help` prints).
 
 pub mod args;
 pub mod commands;
